@@ -36,7 +36,7 @@ mypy:
 
 ## test: tier-1 suite
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 ## coverage: tier-1 suite under pytest-cov, gated on the in-repo ratchet
 ## floor (.coverage-floor).  Raise the floor when coverage rises; CI

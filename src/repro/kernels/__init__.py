@@ -11,8 +11,11 @@ Each kernel executes the same mathematics — Formula 1 as a chain of
 - :class:`repro.kernels.cublas_gpu.CublasKernel` — the cuBLAS-style
   per-step GEMM baseline.
 
-Numeric outputs are bit-for-bit identical across the three (tested);
-only their simulated durations differ.  The write-once device cache
+All three evaluate Formula 1 with the one staged, rank-batched evaluator
+(:func:`repro.kernels.base.evaluate_formula`), whose output equals the
+per-term ``mtxmq`` chain bit for bit (tested); only their simulated
+durations differ.  CPU rank reduction alone changes the arithmetic, to
+within its truncation tolerance.  The write-once device cache
 (:class:`repro.kernels.gpu_cache.GpuBlockCache`) decides how many
 operator-block bytes each batch actually ships over PCIe.
 """

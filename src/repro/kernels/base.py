@@ -3,10 +3,14 @@
 A :class:`FormulaPayload` is one Formula 1 evaluation: an input tensor
 ``s`` of shape ``(q,) * d``, per-rank-term factor matrices (already
 oriented for :func:`repro.tensor.transform.transform_seq`, i.e. the
-transpose of the operator blocks), and the rank coefficients.  All three
-kernels evaluate it with exactly the same arithmetic (a per-term chain of
-``mtxmq`` calls), so their numeric outputs are identical by construction
-and the tests can assert it.
+transpose of the operator blocks), and the rank coefficients.
+
+:func:`evaluate_formula` is the one numeric evaluator of the three
+kernels (the CPU kernel leaves it only for rank reduction).  It stages
+the contraction one axis at a time, batched over the rank index, yet
+performs per term the same ``mtxmq`` products and the same summation as
+the per-term chain :meth:`FormulaPayload.reference_result`, so its
+output equals the chain's bit for bit — the tests assert exact equality.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from repro.errors import TensorShapeError
 from repro.runtime.task import BatchStats, WorkItem
+from repro.tensor.flops import add_flops, mtxm_flops
 from repro.tensor.transform import transform_seq
 
 
@@ -60,45 +65,49 @@ class FormulaPayload:
         return out
 
 
-_EINSUM_PATHS: dict[tuple[int, int, int], list] = {}
-_IN_IDX = "abcdef"
-_OUT_IDX = "uvwxyz"
+def formula_payload(item: WorkItem) -> FormulaPayload | None:
+    """The item's Formula 1 payload (None for cost-only items).
+
+    Raises:
+        TypeError: if the item carries any other kind of payload.
+    """
+    payload = item.payload
+    if payload is None or isinstance(payload, FormulaPayload):
+        return payload
+    raise TypeError(f"unexpected payload type {type(payload)!r}")
 
 
 def evaluate_formula(payload: FormulaPayload) -> np.ndarray:
-    """Fast evaluation of one Formula 1 payload.
+    """Evaluate one Formula 1 payload, batched over the rank index.
 
-    Arithmetic is identical to :meth:`FormulaPayload.reference_result`
-    (a chain of per-dimension contractions per rank term), executed as a
-    single einsum with a cached contraction path so per-item Python
-    overhead stays constant.  All kernels share this evaluator — their
-    differences are scheduling and cost, not arithmetic.
+    The NumPy analogue of the fused ``cu_mtxmq`` kernel: instead of
+    ``M x d`` separate ``mtxmq`` calls, each axis is one stage — the M
+    factor matrices of that axis are stacked into an ``(M, q, q)`` array
+    and one ``np.matmul`` advances all M running tensors at once.  Every
+    term still gets the same ``a.T @ b`` BLAS call as the ``mtxmq`` chain
+    and the terms are accumulated in the same order, so the result is
+    bit-for-bit identical to :meth:`FormulaPayload.reference_result`.
+    FLOPs are credited exactly as the chain credits them.
     """
     s = payload.s
-    dim = s.ndim
+    out = np.zeros_like(s)
     m = payload.rank
     if m == 0:
-        return np.zeros_like(s)
+        return out
     q = s.shape[0]
-    stacked = [
-        np.stack([payload.factors[mu][axis] for mu in range(m)])
-        for axis in range(dim)
-    ]
-    spec = [_IN_IDX[:dim]]
-    operands: list[np.ndarray] = [s]
-    for axis in range(dim):
-        # factors are in transform orientation: out = sum_j s[j] h[j, i]
-        spec.append(f"m{_IN_IDX[axis]}{_OUT_IDX[axis]}")
-        operands.append(stacked[axis])
-    spec.append("m")
-    operands.append(np.asarray(payload.coeffs, dtype=float))
-    expr = ",".join(spec) + "->" + _OUT_IDX[:dim]
-    key = (dim, q, m)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(expr, *operands, optimize="greedy")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(expr, *operands, optimize=path)
+    rest = s.size // q
+    # the first stage broadcasts the one input tensor over all M terms
+    t = s.reshape(q, rest).T
+    for axis in range(s.ndim):
+        if axis:
+            # rotate like mtxmq: the contracted index of each term's
+            # (rest, q) result leads again, viewed transposed for a.T @ b
+            t = t.reshape(m, q, rest).transpose(0, 2, 1)
+        t = np.matmul(t, np.stack([hs[axis] for hs in payload.factors]))
+        add_flops(m * mtxm_flops(rest, q, q), "mtxmq")
+    for c, term in zip(payload.coeffs, t.reshape((m,) + s.shape)):
+        out += c * term
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,3 @@ class ComputeKernel(abc.ABC):
     @abc.abstractmethod
     def run_item(self, item: WorkItem) -> np.ndarray | None:
         """Numerically execute one work item (None for cost-only items)."""
-
-    def run_batch(self, items: list[WorkItem]) -> list[np.ndarray | None]:
-        """Numerically execute every item of a batch, in order."""
-        return [self.run_item(item) for item in items]

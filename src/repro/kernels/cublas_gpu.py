@@ -26,9 +26,9 @@ import numpy as np
 from repro.hardware.gpu_model import GpuModel
 from repro.kernels.base import (
     ComputeKernel,
-    FormulaPayload,
     KernelTiming,
     evaluate_formula,
+    formula_payload,
 )
 from repro.runtime.task import BatchStats, WorkItem
 
@@ -45,14 +45,10 @@ class CublasKernel(ComputeKernel):
 
     def run_item(self, item: WorkItem) -> np.ndarray | None:
         """Evaluate Formula 1 (cuBLAS differs in cost, not arithmetic)."""
-        payload = item.payload
-        if payload is None:
-            return None
-        if not isinstance(payload, FormulaPayload):
-            raise TypeError(f"unexpected payload type {type(payload)!r}")
+        payload = formula_payload(item)
         # each step is a separate DGEMM call on the modeled device; the
         # arithmetic itself is the shared Formula 1 evaluator
-        return evaluate_formula(payload)
+        return None if payload is None else evaluate_formula(payload)
 
     # -- timing ---------------------------------------------------------------------
 

@@ -25,9 +25,9 @@ import numpy as np
 from repro.hardware.gpu_model import GpuModel
 from repro.kernels.base import (
     ComputeKernel,
-    FormulaPayload,
     KernelTiming,
     evaluate_formula,
+    formula_payload,
 )
 from repro.runtime.task import BatchStats, WorkItem
 
@@ -78,15 +78,11 @@ class CustomGpuKernel(ComputeKernel):
 
     def run_item(self, item: WorkItem) -> np.ndarray | None:
         """Evaluate Formula 1 (fusion changes scheduling, not arithmetic)."""
-        payload = item.payload
-        if payload is None:
-            return None
-        if not isinstance(payload, FormulaPayload):
-            raise TypeError(f"unexpected payload type {type(payload)!r}")
+        payload = formula_payload(item)
         # The fused kernel performs the same chain of contractions; the
-        # "fusion" is a scheduling property (no host round trips), not an
-        # arithmetic one.
-        return evaluate_formula(payload)
+        # shared evaluator runs all of a task's steps in one staged call,
+        # as cu_mtxmq runs them in one launch.
+        return None if payload is None else evaluate_formula(payload)
 
     # -- timing ---------------------------------------------------------------------
 

@@ -228,11 +228,11 @@ class GaussianConvolution:
         coarser levels already account for (the "T - T0" trick of the
         MADNESS implementation).
 
-        The per-``mu`` contraction is evaluated as one optimised einsum
-        over the stacked operator matrices — numerically identical to the
-        per-term ``mtxmq`` chain the kernels execute, but far faster in
-        NumPy; FLOPs are accounted as if executed term by term, which is
-        what they cost on the modeled hardware.
+        The rank terms are evaluated by :meth:`_batched_apply`, one
+        per-``mu`` chain of ``dim`` ``tensordot`` contractions (the same
+        contractions, in the same axis order, as the ``mtxmq`` chain the
+        kernels execute); FLOPs are accounted as if executed term by
+        term, which is what they cost on the modeled hardware.
         """
         norms = self.term_norms(level, delta, subtracted=subtract_coarse)
         keep = np.nonzero(norms > tol)[0]

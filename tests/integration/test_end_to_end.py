@@ -62,6 +62,12 @@ def test_three_modes_agree_numerically(coulomb_problem):
         for mode in ("cpu", "gpu", "hybrid")
     }
     ref = results["cpu"]
+    # Per-item results are bit-identical across kernels; that exactness
+    # is asserted in tests/kernels.  The assembled functions can still
+    # differ in the last bits: postprocess accumulates item results into
+    # the result tree in batch-completion order, which differs by mode
+    # (measured 1.5e-16 gpu and 5.5e-16 hybrid against cpu at k=5,
+    # eps=1e-3), so a norm bound is the right check here.
     for mode in ("gpu", "hybrid"):
         assert (ref - results[mode]).norm2() < 1e-10
 

@@ -47,17 +47,3 @@ def test_kernel_timing_gflops():
     assert t.gflops() == pytest.approx(2.0)
     assert KernelTiming(seconds=0.0, flops=1, launches=0).gflops() == 0.0
 
-
-def test_einsum_path_cache_reused():
-    from repro.kernels.base import _EINSUM_PATHS
-
-    rng = np.random.default_rng(1)
-    p = FormulaPayload(
-        s=rng.standard_normal((4, 4)),
-        factors=[(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))],
-        coeffs=np.ones(1),
-    )
-    evaluate_formula(p)
-    n_before = len(_EINSUM_PATHS)
-    evaluate_formula(p)
-    assert len(_EINSUM_PATHS) == n_before  # same shape -> cached path
