@@ -67,18 +67,20 @@ serve-smoke:
 chaos-sched-smoke:
 	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_chaos_sched.py -q
 
-## des-equivalence: the differential DES-core harness — every canonical
-## scenario plus 250 random event programs must be byte-identical
-## across the heap and calendar engines (blocking in CI)
+## des-equivalence: the DES-kernel gate — 250 seeded random event
+## programs must reproduce the legacy engine's pinned completion logs,
+## same-instant ties their pinned orders, and the lazy victim board the
+## legacy sorted scan's pinned stealing outcome (blocking in CI)
 des-equivalence:
 	$(PYTHON) -m pytest tests/runtime/test_des_equivalence.py \
-	    tests/runtime/test_des_tiebreak.py -q
+	    tests/runtime/test_des_tiebreak.py \
+	    tests/cluster/test_stealing.py::test_lazy_board_matches_legacy_scan -q
 
-## des-smoke: reduced-scale DES-core benchmark — live engine
-## equivalence + live speedup at 500 ranks, plus the committed
-## BENCH_cluster.json >=10x events/sec audit (full scale: drop the
-## REPRO_BENCH_SCALE override; regenerate the baseline with
-## REPRO_BENCH_WRITE=1)
+## des-smoke: reduced-scale DES-core benchmark — a 500-rank stealing
+## run against the legacy engine's pinned outputs, plus the committed
+## BENCH_cluster.json >=10x core/legacy events/sec audit (full scale:
+## drop the REPRO_BENCH_SCALE override; regenerate the core record
+## with REPRO_BENCH_WRITE=1)
 des-smoke:
 	REPRO_BENCH_SCALE=0.1 $(PYTHON) -m pytest benchmarks/test_des_core.py -q
 

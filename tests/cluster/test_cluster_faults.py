@@ -1,5 +1,5 @@
-"""Cluster-level fault injection: the FaultInjector-backed replacement
-for ``failed_gpus``, node crashes, and message faults.
+"""Cluster-level fault injection: permanent GPU failures, node crashes,
+and message faults.
 
 Node crashes have exactly one handling mode: checkpoint/restart
 recovery (``recovery=RecoveryConfig(...)`` — the crashed rank restores
@@ -44,15 +44,15 @@ def run(workload, **kwargs):
 
 
 class TestDeprecatedAlias:
-    def test_failed_gpus_warns(self, workload):
-        with pytest.warns(DeprecationWarning, match="fault_injector"):
-            ClusterSimulation(
-                NODES, HashProcessMap(NODES), failed_gpus={1}
-            )
+    """The ``FaultInjector`` form that replaced the removed deprecated
+    GPU-loss alias (one permanent ``GpuFailure`` per rank)."""
 
     def test_alias_matches_injector_equivalent(self, workload):
-        with pytest.warns(DeprecationWarning):
-            legacy = run(workload, failed_gpus={1})
+        # the alias expanded to an empty injector plus ``add``; that
+        # spelling and the ``faults=`` one must run identically
+        added = FaultInjector()
+        added.add(GpuFailure(rank=1, permanent=True))
+        legacy = run(workload, fault_injector=added)
         inj = FaultInjector(faults=[GpuFailure(rank=1, permanent=True)])
         modern = run(workload, fault_injector=inj)
         assert legacy.makespan_seconds == modern.makespan_seconds
@@ -60,8 +60,8 @@ class TestDeprecatedAlias:
             assert a.timeline.total_seconds == b.timeline.total_seconds
 
     def test_alias_still_falls_back_to_cpu(self, workload):
-        with pytest.warns(DeprecationWarning):
-            res = run(workload, failed_gpus={1})
+        inj = FaultInjector(faults=[GpuFailure(rank=1, permanent=True)])
+        res = run(workload, fault_injector=inj)
         assert res.node_results[1].timeline.n_gpu_items == 0
         assert res.node_results[2].timeline.n_gpu_items > 0
 

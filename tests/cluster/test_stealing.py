@@ -14,6 +14,7 @@ from repro.cluster.stealing import (
 )
 from repro.dht.process_map import ProcessMap, SubtreePartitionMap
 from repro.errors import ClusterConfigError
+from repro.experiments.stealing import skewed_workload
 from repro.faults.injector import FaultInjector
 from repro.faults.models import GpuFailure
 from repro.lint.trace_check import find_migration_violations, find_violations
@@ -330,6 +331,44 @@ def test_runtime_and_analytic_executors_agree_roughly():
         results[executor] = sim.run(workload.tasks).makespan_seconds
     ratio = results["analytic"] / results["runtime"]
     assert 0.3 < ratio < 3.0
+
+
+# -- the lazy victim board against the legacy sorted scan --------------------------
+
+#: a 300-rank skewed stealing run recorded when victims were still
+#: picked by a sorted O(n) scan of the board; the lazy max-heap board
+#: must pick the same victim on every attempt, so every count matches
+LEGACY_SCAN_OUTCOME = {
+    "makespan_seconds": "0x1.a5685823c5917p-10",
+    "steals_attempted": 5260,
+    "steals_granted": 495,
+    "steals_denied": 4765,
+    "tasks_migrated": 4625,
+    "n_events": 12288,
+}
+
+
+def _board_cost(rank, tasks):
+    return 1e-4 * len(tasks) * (1.0 + 0.25 * (rank % 4))
+
+
+def test_lazy_board_matches_legacy_scan():
+    ranks = 300
+    engine = StealingEngine(
+        SubtreePartitionMap(ranks, anchor_level=2),
+        NetworkModel(),
+        StealingConfig(enabled=True, chunk_size=4),
+        _board_cost,
+    )
+    outcome = engine.run(skewed_workload(ranks).tasks)
+    assert {
+        "makespan_seconds": outcome.makespan_seconds.hex(),
+        "steals_attempted": outcome.steals_attempted,
+        "steals_granted": outcome.steals_granted,
+        "steals_denied": outcome.steals_denied,
+        "tasks_migrated": outcome.tasks_migrated,
+        "n_events": outcome.n_events,
+    } == LEGACY_SCAN_OUTCOME
 
 
 # -- exactly-once as a property ----------------------------------------------------

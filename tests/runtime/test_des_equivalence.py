@@ -1,117 +1,89 @@
-"""Differential harness: the heap and calendar DES cores are equivalent.
+"""The DES kernel reproduces the legacy engine's pinned schedules.
 
-Every canonical scenario and a fleet of hypothesis-generated random
-event programs run on both engines; the canonical dumps must be
-byte-identical, the trace-check / race-detector verdicts identical,
-and completion orders / final clocks exact.  This suite is the gate
-any future core change must clear (see docs/DES.md).
+250 seeded random event programs (timeouts, cooperative pauses,
+``AllOf`` joins, fire-and-forget spawns and waited-on children) were
+run on the legacy global-heap engine when the kernel still had two
+interchangeable cores; ``fixtures/des_programs.json`` pins each
+program's completion log, final clock and processed-event count.  The
+single kernel must reproduce every one exactly.  The canonical
+scenarios' dumps are pinned separately by the golden traces
+(``tests/obs/test_golden_traces.py``).  Any future change to the
+kernel must clear this gate (see docs/DES.md).
 """
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import json
+import random
+from pathlib import Path
 
-from repro.lint.races import detect_races
-from repro.lint.trace_check import find_violations
-from repro.obs.export import export_chrome
-from repro.obs.scenarios import SCENARIOS, run_scenario
-from repro.runtime.events import AllOf, Environment, des_engine
+from repro.runtime.events import AllOf, Environment
 
-# -- canonical scenarios ---------------------------------------------------------
+FIXTURE = Path(__file__).parent / "fixtures" / "des_programs.json"
 
+#: delays drawn from a small grid so same-instant ties occur constantly
+_DELAYS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.75)
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_dumps_byte_identical(name):
-    """The canonical dump is byte-for-byte engine-independent."""
-    heap = run_scenario(name, engine="heap")
-    calendar = run_scenario(name, engine="calendar")
-    assert heap.dump.dumps() == calendar.dump.dumps()
-    assert heap.makespan == calendar.makespan  # repro: noqa[FLT001] - bit-identity is the contract under test
-    assert export_chrome(heap.dump) == export_chrome(calendar.dump)
+N_PROGRAMS = 250
 
 
-@pytest.mark.parametrize("name", ["stealing", "chaos-sched", "faulty"])
-def test_scenario_verdicts_identical(name):
-    """trace_check and the race detector agree across engines."""
-    heap = run_scenario(name, engine="heap").dump
-    calendar = run_scenario(name, engine="calendar").dump
-    for rank_h, rank_c in zip(heap.ranks, calendar.ranks):
-        assert find_violations(rank_h.log) == find_violations(rank_c.log)
-    report_h = detect_races(heap)
-    report_c = detect_races(calendar)
-    assert report_h.clean == report_c.clean
-    assert report_h.to_dict() == report_c.to_dict()
-
-
-# -- random event programs -------------------------------------------------------
-#
-# A program is a list of process specs; a spec is a list of actions the
-# interpreter below replays identically on each engine.  Delays are
-# drawn from a small grid so same-instant ties (the hard case for the
-# calendar queue's bucket boundaries) occur constantly.
-
-_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.75])
-
-
-def _actions(depth: int):
-    options = [
-        st.tuples(st.just("timeout"), _DELAYS),
-        st.just(("pause",)),
-        st.tuples(
-            st.just("allof"),
-            st.lists(_DELAYS, min_size=1, max_size=3),
-        ),
-    ]
+def _random_action(rng: random.Random, depth: int):
+    kinds = ["timeout", "pause", "allof"]
     if depth > 0:
-        child = st.lists(_actions(depth - 1), min_size=1, max_size=3)
-        options.append(st.tuples(st.just("spawn"), child))
-        options.append(st.tuples(st.just("wait"), child))
-    return st.one_of(options)
+        kinds += ["spawn", "wait"]
+    kind = rng.choice(kinds)
+    if kind == "timeout":
+        return ("timeout", rng.choice(_DELAYS))
+    if kind == "pause":
+        return ("pause",)
+    if kind == "allof":
+        return ("allof", [rng.choice(_DELAYS) for _ in range(rng.randint(1, 3))])
+    child = [_random_action(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    return (kind, child)
 
 
-_PROGRAMS = st.lists(
-    st.lists(_actions(2), min_size=1, max_size=4), min_size=1, max_size=4
-)
+def random_program(seed: int):
+    """A program: 1-4 process specs of 1-4 actions, nested two deep."""
+    rng = random.Random(seed)
+    return [
+        [_random_action(rng, 2) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4))
+    ]
 
 
-def _run_program(program, engine):
-    """Interpret one program; returns (completion log, final clock)."""
-    with des_engine(engine):
-        env = Environment()
-        log = []
+def run_program(program):
+    """Interpret one program; returns (completion log, final clock,
+    events processed)."""
+    env = Environment()
+    log = []
 
-        def exec_spec(spec, path):
-            for index, action in enumerate(spec):
-                kind = action[0]
-                if kind == "timeout":
-                    yield env.timeout(action[1])
-                elif kind == "pause":
-                    yield None
-                elif kind == "allof":
-                    yield AllOf(
-                        env, [env.timeout(d) for d in action[1]]
-                    )
-                elif kind == "spawn":
-                    env.process(exec_spec(action[1], path + (index,)))
-                elif kind == "wait":
-                    yield env.process(
-                        exec_spec(action[1], path + (index,))
-                    )
-            log.append((env.now, path))
+    def exec_spec(spec, path):
+        for index, action in enumerate(spec):
+            kind = action[0]
+            if kind == "timeout":
+                yield env.timeout(action[1])
+            elif kind == "pause":
+                yield None
+            elif kind == "allof":
+                yield AllOf(env, [env.timeout(d) for d in action[1]])
+            elif kind == "spawn":
+                env.process(exec_spec(action[1], path + (index,)))
+            elif kind == "wait":
+                yield env.process(exec_spec(action[1], path + (index,)))
+        log.append((env.now, path))
 
-        for slot, spec in enumerate(program):
-            env.process(exec_spec(spec, (slot,)))
-        final = env.run()
-        return log, final, env.n_processed
+    for slot, spec in enumerate(program):
+        env.process(exec_spec(spec, (slot,)))
+    final = env.run()
+    return log, final, env.n_processed
 
 
-@given(_PROGRAMS)
-@settings(max_examples=250, deadline=None)
-def test_random_programs_equivalent(program):
-    """Arbitrary interleaved timeout/AllOf/spawn programs complete in
-    the same order at the same instants on both engines."""
-    log_h, final_h, n_h = _run_program(program, "heap")
-    log_c, final_c, n_c = _run_program(program, "calendar")
-    assert log_h == log_c  # repro: noqa[FLT001] - bit-identity is the contract under test
-    assert final_h == final_c  # repro: noqa[FLT001] - bit-identity is the contract under test
-    assert n_h == n_c
+def test_random_programs_equivalent():
+    """Every seeded program completes in the pinned order, at the
+    pinned instants, after the pinned number of events."""
+    pinned = json.loads(FIXTURE.read_text())
+    assert len(pinned) == N_PROGRAMS
+    for seed, want in enumerate(pinned):
+        log, final, n_processed = run_program(random_program(seed))
+        got_log = [[at, list(path)] for at, path in log]
+        assert got_log == want["log"], seed  # repro: noqa[FLT001] - bit-identity with the pinned schedule is the contract under test
+        assert final == want["final"], seed  # repro: noqa[FLT001] - bit-identity with the pinned schedule is the contract under test
+        assert n_processed == want["n_processed"], seed

@@ -1,11 +1,11 @@
-"""Same-instant tie-breaking is deterministic and engine-independent.
+"""Same-instant tie-breaking is deterministic and pinned.
 
 Two layers pin the contract: at the kernel, events scheduled at one
-float instant pop in scheduling order (or in the seeded adversarial
-order under :func:`scheduling_perturbation`) identically on both
-engines; at the dump, same-instant records canonicalize in
-``_OP_STAGE`` order — the ``(at, stage, batch, attempt)`` key the
-calendar queue must preserve through its bucket boundaries.
+float instant pop in scheduling order (or, under
+:func:`scheduling_perturbation`, in the seeded adversarial order the
+legacy global-heap engine produced); at the dump, same-instant records
+canonicalize in ``_OP_STAGE`` order — the ``(at, stage, batch,
+attempt)`` key.
 """
 
 import random
@@ -14,62 +14,68 @@ import pytest
 
 from repro.obs.dump import _OP_STAGE
 from repro.obs.scenarios import run_scenario
-from repro.runtime.events import (
-    Environment,
-    des_engine,
-    scheduling_perturbation,
-)
+from repro.runtime.events import Environment, scheduling_perturbation
 
 _SAME_INSTANTS = [0.0, 1.0, 0.5883029443769618, 1e-9, 1e6]
 
+#: completion orders under each perturbation seed, recorded on the
+#: legacy engine: at t=0 the spawn resumes and the timeouts draw from
+#: one stream; at any later instant the order depends only on the seed
+_PERTURBED_AT_ZERO = {
+    0: [3, 2, 7, 4, 6, 0, 5, 1],
+    1: [0, 5, 4, 6, 3, 1, 7, 2],
+    7: [6, 3, 5, 1, 4, 0, 7, 2],
+    1234: [7, 5, 6, 2, 1, 3, 4, 0],
+}
+_PERTURBED_LATER = {
+    0: [0, 4, 3, 2, 7, 6, 1, 5],
+    1: [2, 3, 0, 4, 7, 1, 6, 5],
+    7: [6, 1, 0, 4, 2, 5, 3, 7],
+    1234: [1, 0, 7, 6, 4, 3, 2, 5],
+}
 
-def _completion_order(engine, instant, n=8, seed=None):
+
+def _completion_order(instant, n=8, seed=None):
     """Spawn ``n`` processes all finishing at ``instant``; return the
     order their completions land in."""
-    with des_engine(engine):
-        if seed is None:
+    if seed is None:
+        env = Environment()
+    else:
+        with scheduling_perturbation(random.Random(seed)):
             env = Environment()
-        else:
-            with scheduling_perturbation(random.Random(seed)):
-                env = Environment()
-        order = []
+    order = []
 
-        def worker(name):
-            yield env.timeout(instant)
-            order.append(name)
+    def worker(name):
+        yield env.timeout(instant)
+        order.append(name)
 
-        for name in range(n):
-            env.process(worker(name))
-        env.run()
-        return order
+    for name in range(n):
+        env.process(worker(name))
+    env.run()
+    return order
 
 
 @pytest.mark.parametrize("instant", _SAME_INSTANTS)
 def test_same_instant_pops_in_scheduling_order(instant):
-    """Without perturbation, same-instant ties resolve to spawn order
-    on both engines — the calendar queue keeps every tie in one bucket
-    so the ``(time, draw, seq)`` comparison is never split."""
-    for engine in ("heap", "calendar"):
-        assert _completion_order(engine, instant) == list(range(8)), engine
+    """Without perturbation, same-instant ties resolve to spawn order."""
+    assert _completion_order(instant) == list(range(8))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
 @pytest.mark.parametrize("instant", _SAME_INSTANTS)
 def test_perturbed_ties_identical_across_engines(instant, seed):
-    """Seeded adversarial tie-breaks reorder the instant the same way
-    on both engines (the draw rides inside the queue key)."""
-    heap = _completion_order("heap", instant, seed=seed)
-    calendar = _completion_order("calendar", instant, seed=seed)
-    assert heap == calendar
-    assert sorted(heap) == list(range(8))
+    """Seeded adversarial tie-breaks reorder the instant exactly as the
+    legacy engine did (the draw rides inside the queue key)."""
+    pinned = _PERTURBED_LATER if instant else _PERTURBED_AT_ZERO
+    order = _completion_order(instant, seed=seed)
+    assert order == pinned[seed]
+    assert sorted(order) == list(range(8))
 
 
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_dump_same_instant_records_in_op_stage_order(engine):
+def test_dump_same_instant_records_in_op_stage_order():
     """Canonical dumps list same-instant records in ``_OP_STAGE``
-    order on either engine (the stealing scenario exercises every
-    steal-protocol op)."""
-    dump = run_scenario("stealing", engine=engine).dump
+    order (the stealing scenario exercises every steal-protocol op)."""
+    dump = run_scenario("stealing").dump
     checked = 0
     for rank in dump.ranks:
         log = rank.log

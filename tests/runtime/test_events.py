@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime.events import AllOf, Environment, Resource, des_engine
+from repro.runtime.events import AllOf, Environment, Resource
 
 
 def test_timeout_advances_clock():
@@ -233,16 +233,13 @@ def test_resource_invalid_capacity():
         Resource(env, capacity=0)
 
 
-# -- run(until=) boundary contract (inclusive; pinned for both engines) ----------
+# -- run(until=) boundary contract (inclusive) -----------------------------------
 
 
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_run_until_is_inclusive_at_exact_boundary(engine):
+def test_run_until_is_inclusive_at_exact_boundary():
     """An event scheduled at exactly ``until`` fires before the run
-    stops — the bound is inclusive, and the calendar queue's bucket
-    boundaries land on such instants constantly."""
-    with des_engine(engine):
-        env = Environment()
+    stops — the bound is inclusive."""
+    env = Environment()
     fired = []
 
     def proc():
@@ -257,10 +254,8 @@ def test_run_until_is_inclusive_at_exact_boundary(engine):
     assert end == 4.0  # repro: noqa[FLT001] - run(until=...) returns the bound verbatim
 
 
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_run_until_leaves_strictly_later_events_pending(engine):
-    with des_engine(engine):
-        env = Environment()
+def test_run_until_leaves_strictly_later_events_pending():
+    env = Environment()
     fired = []
 
     def proc():
@@ -276,10 +271,8 @@ def test_run_until_leaves_strictly_later_events_pending(engine):
     assert fired == [4.0000000001]  # repro: noqa[FLT001] - single scheduled instant, exact
 
 
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_run_until_in_the_past_never_rewinds(engine):
-    with des_engine(engine):
-        env = Environment()
+def test_run_until_in_the_past_never_rewinds():
+    env = Environment()
 
     def proc():
         yield env.timeout(5.0)
@@ -293,8 +286,6 @@ def test_run_until_in_the_past_never_rewinds(engine):
     assert env.now == 5.0  # repro: noqa[FLT001] - a past bound must not rewind the clock
 
 
-@pytest.mark.parametrize("engine", ["heap", "calendar"])
-def test_run_until_with_empty_queue_returns_now(engine):
-    with des_engine(engine):
-        env = Environment()
+def test_run_until_with_empty_queue_returns_now():
+    env = Environment()
     assert env.run(until=9.0) == 0.0  # repro: noqa[FLT001] - nothing scheduled, clock never moved
