@@ -234,12 +234,45 @@ def test_resource_invalid_capacity():
 
 
 # -- run(until=) boundary contract (inclusive) -----------------------------------
+#
+# Each case runs on a bare queue ("heap") and on a queue crowded with dense
+# background timeouts ("calendar"), many of them landing exactly on the bounds
+# under test. The ids keep the names of the two engines the contract was first
+# pinned on; the crowded load is the one whose bucket boundaries the calendar
+# queue used to split.
+
+_CROWD_STEP = 1 / 64  # a power of two: k * step hits 4.0 and 5.0 exactly
+_CROWD_SIZE = 512
 
 
-def test_run_until_is_inclusive_at_exact_boundary():
+def _crowd(env, load):
+    """Schedule the background timeouts for ``load``; return the list
+    their firing instants land in."""
+    fired = []
+    if load == "calendar":
+
+        def tick(delay):
+            yield env.timeout(delay)
+            fired.append(env.now)
+
+        for k in range(_CROWD_SIZE):
+            env.process(tick(k * _CROWD_STEP))
+    return fired
+
+
+def _crowd_through(bound, load):
+    """The background instants that must have fired by ``bound``."""
+    if load != "calendar":
+        return []
+    return [k * _CROWD_STEP for k in range(_CROWD_SIZE) if k * _CROWD_STEP <= bound]
+
+
+@pytest.mark.parametrize("load", ["heap", "calendar"])
+def test_run_until_is_inclusive_at_exact_boundary(load):
     """An event scheduled at exactly ``until`` fires before the run
     stops — the bound is inclusive."""
     env = Environment()
+    background = _crowd(env, load)
     fired = []
 
     def proc():
@@ -252,10 +285,13 @@ def test_run_until_is_inclusive_at_exact_boundary():
     end = env.run(until=4.0)
     assert fired == [4.0]  # repro: noqa[FLT001] - the boundary instant is the contract under test
     assert end == 4.0  # repro: noqa[FLT001] - run(until=...) returns the bound verbatim
+    assert background == _crowd_through(4.0, load)
 
 
-def test_run_until_leaves_strictly_later_events_pending():
+@pytest.mark.parametrize("load", ["heap", "calendar"])
+def test_run_until_leaves_strictly_later_events_pending(load):
     env = Environment()
+    background = _crowd(env, load)
     fired = []
 
     def proc():
@@ -266,13 +302,17 @@ def test_run_until_leaves_strictly_later_events_pending():
     end = env.run(until=4.0)
     assert fired == []
     assert end == 4.0  # repro: noqa[FLT001] - run(until=...) returns the bound verbatim
+    assert background == _crowd_through(4.0, load)
     # a later run picks the pending event back up
     env.run()
     assert fired == [4.0000000001]  # repro: noqa[FLT001] - single scheduled instant, exact
+    assert background == _crowd_through(float("inf"), load)
 
 
-def test_run_until_in_the_past_never_rewinds():
+@pytest.mark.parametrize("load", ["heap", "calendar"])
+def test_run_until_in_the_past_never_rewinds(load):
     env = Environment()
+    background = _crowd(env, load)
 
     def proc():
         yield env.timeout(5.0)
@@ -284,8 +324,16 @@ def test_run_until_in_the_past_never_rewinds():
     end = env.run(until=1.0)
     assert end == 5.0  # repro: noqa[FLT001] - a past bound must not rewind the clock
     assert env.now == 5.0  # repro: noqa[FLT001] - a past bound must not rewind the clock
+    assert background == _crowd_through(5.0, load)
 
 
-def test_run_until_with_empty_queue_returns_now():
+@pytest.mark.parametrize("load", ["heap", "calendar"])
+def test_run_until_with_empty_queue_returns_now(load):
+    """With the queue empty — never filled, or drained by an earlier
+    run — ``run(until=)`` leaves the clock where it is."""
     env = Environment()
-    assert env.run(until=9.0) == 0.0  # repro: noqa[FLT001] - nothing scheduled, clock never moved
+    background = _crowd(env, load)
+    env.run()
+    drained_at = background[-1] if background else 0.0
+    assert env.now == drained_at  # repro: noqa[FLT001] - the last scheduled instant, exact
+    assert env.run(until=9.0) == drained_at  # repro: noqa[FLT001] - nothing left, clock never moved
