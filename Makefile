@@ -1,11 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence
+.PHONY: check lint lint-tests races ruff mypy test perfbench-test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence
 
 ## check: everything CI runs — in-tree analyzer, race gate, ruff, mypy,
-## tier-1 tests
-check: lint lint-tests races ruff mypy test
+## tier-1 tests, the benchmark's own tests
+check: lint lint-tests races ruff mypy test perfbench-test
 
 ## lint: the project's own determinism/resource-safety analyzer (hard
 ## gate), full rule set over the library, benchmarks, and examples
@@ -37,6 +37,13 @@ mypy:
 ## test: tier-1 suite
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
+
+## perfbench-test: the benchmark's own tests — shrunken copies of the
+## four workloads must run clean under tracing and move their layers'
+## spans (among them HybridDispatcher.plan and NodeRuntime.execute), so
+## renaming a spanned method fails here
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 ## coverage: tier-1 suite under pytest-cov, gated on the in-repo ratchet
 ## floor (.coverage-floor).  Raise the floor when coverage rises; CI

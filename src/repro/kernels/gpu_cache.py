@@ -45,12 +45,15 @@ class TransferTicket:
             computing on them (and must not re-ship them).
         hit_keys: blocks already resident on the device.
         bytes_to_ship: PCIe bytes this batch is charged for.
+        block_keys: the batch's whole read set — every distinct block,
+            in first-use order.
     """
 
     ship_keys: tuple[Hashable, ...]
     wait_keys: tuple[Hashable, ...]
     hit_keys: tuple[Hashable, ...]
     bytes_to_ship: int
+    block_keys: tuple[Hashable, ...] = ()
 
 
 class GpuBlockCache:
@@ -87,15 +90,6 @@ class GpuBlockCache:
         """True while ``key`` is being transferred but has not arrived."""
         return key in self._in_flight
 
-    @staticmethod
-    def _unique(block_keys: Iterable[Hashable]) -> list[Hashable]:
-        """Deduplicate keys preserving first-occurrence order."""
-        seen: dict[Hashable, None] = {}
-        for k in block_keys:
-            if k not in seen:
-                seen[k] = None
-        return list(seen)
-
     # -- two-phase transfer protocol -------------------------------------------
 
     def begin_transfer(
@@ -107,9 +101,11 @@ class GpuBlockCache:
         capacity; residency is granted only by :meth:`commit_transfer`.
         Hits and waits cost nothing on PCIe (the whole point of
         write-once residency) — but a wait is only *usable* once the
-        owning transfer commits.  All statistics count unique keys.
+        owning transfer commits.  Repeated keys are deduplicated in
+        first-use order (the ticket's ``block_keys``), and all
+        statistics count unique keys.
         """
-        unique = self._unique(block_keys)
+        unique = tuple(dict.fromkeys(block_keys))
         hits = tuple(k for k in unique if k in self._resident)
         waits = tuple(
             k for k in unique if k in self._in_flight and k not in self._resident
@@ -132,7 +128,8 @@ class GpuBlockCache:
         self.stats.waits += len(waits)
         self.stats.misses += len(ship)
         return TransferTicket(
-            ship_keys=ship, wait_keys=waits, hit_keys=hits, bytes_to_ship=total
+            ship_keys=ship, wait_keys=waits, hit_keys=hits, bytes_to_ship=total,
+            block_keys=unique,
         )
 
     def commit_transfer(self, ticket: TransferTicket) -> None:

@@ -43,13 +43,20 @@ def overlap_time(m: float, n: float) -> float:
 
 @dataclass
 class DispatchPlan:
-    """The dispatcher's decision for one batch."""
+    """The dispatcher's decision for one batch.
+
+    ``cpu_stats`` and ``gpu_stats`` aggregate the two shares (each the
+    forward fold of its items), so the node pipeline never re-folds
+    them.
+    """
 
     cpu_items: list[WorkItem]
     gpu_items: list[WorkItem]
     est_cpu_seconds: float  # m, for the whole batch
     est_gpu_seconds: float  # n, for the whole batch
     cpu_fraction: float
+    cpu_stats: BatchStats
+    gpu_stats: BatchStats
 
 
 class HybridDispatcher:
@@ -61,8 +68,10 @@ class HybridDispatcher:
         gpu_streams: concurrent CUDA streams.
         mode: "cpu" (everything on CPU), "gpu" (all compute on the GPU),
             or "hybrid" (optimal-overlap split).
-        transfer_estimator: callable(BatchStats) -> seconds added to the
-            GPU-side estimate (PCIe cost of the batch inputs).
+
+    A dispatcher may be shared between nodes, so the node's PCIe
+    transfer estimator is passed per :meth:`plan` call rather than held
+    by the instance.
     """
 
     def __init__(
@@ -73,7 +82,6 @@ class HybridDispatcher:
         cpu_threads: int,
         gpu_streams: int,
         mode: str = "hybrid",
-        transfer_estimator=None,
     ):
         if mode not in MODES:
             raise RuntimeConfigError(f"unknown dispatch mode {mode!r}")
@@ -86,89 +94,91 @@ class HybridDispatcher:
         self.cpu_threads = cpu_threads
         self.gpu_streams = gpu_streams
         self.mode = mode
-        self.transfer_estimator = transfer_estimator or (lambda stats: 0.0)
         # calibration multipliers applied to the raw cost-model estimates;
         # 1.0 here, adjusted online by AdaptiveDispatcher
         self.cpu_time_scale = 1.0
         self.gpu_time_scale = 1.0
 
-    def _estimator(self, transfer_estimator):
-        """Per-plan transfer estimator, defaulting to the constructor's.
+    # -- device times -------------------------------------------------------------
 
-        A dispatcher may be shared between nodes (the cluster simulation
-        builds one per rank, but callers are free not to), so per-node
-        estimators are passed per plan instead of mutated onto the
-        instance.
-        """
-        return transfer_estimator if transfer_estimator is not None else (
-            self.transfer_estimator
-        )
+    def cpu_seconds(self, stats: BatchStats) -> float:
+        """Raw (uncalibrated) cost-model time of ``stats`` on the CPU
+        compute threads — also what the node charges the CPU share."""
+        return self.cpu_kernel.batch_timing(stats, self.cpu_threads).seconds
 
-    # -- estimates ------------------------------------------------------------
+    def gpu_seconds(self, stats: BatchStats, transfer_estimator=None) -> float:
+        """Raw (uncalibrated) GPU-side time of ``stats``: the kernel on
+        the streams plus, if given, ``transfer_estimator(stats)`` seconds
+        of PCIe input transfer.  Without an estimator this is the kernel
+        time the node charges the GPU share."""
+        seconds = self.gpu_kernel.batch_timing(stats, self.gpu_streams).seconds
+        if transfer_estimator is not None:
+            seconds += transfer_estimator(stats)
+        return seconds
 
     def device_estimates(
         self, stats: BatchStats, transfer_estimator=None
     ) -> tuple[float, float]:
-        """(m, n): whole-batch CPU-only and GPU-only durations."""
-        estimate = self._estimator(transfer_estimator)
-        m = (
-            self.cpu_kernel.batch_timing(stats, self.cpu_threads).seconds
-            * self.cpu_time_scale
+        """(m, n): calibrated CPU-only and GPU-only durations of ``stats``."""
+        return (
+            self.cpu_seconds(stats) * self.cpu_time_scale,
+            self.gpu_seconds(stats, transfer_estimator) * self.gpu_time_scale,
         )
-        n = (
-            self.gpu_kernel.batch_timing(stats, self.gpu_streams).seconds
-            + estimate(stats)
-        ) * self.gpu_time_scale
-        return m, n
+
+    def _split_seconds(
+        self, cpu_stats: BatchStats, gpu_stats: BatchStats, transfer_estimator=None
+    ) -> float:
+        """Calibrated time of a split: the slower share (an empty share
+        costs nothing)."""
+        m = n = 0.0
+        if cpu_stats.n_items:
+            m = self.cpu_seconds(cpu_stats) * self.cpu_time_scale
+        if gpu_stats.n_items:
+            n = self.gpu_seconds(gpu_stats, transfer_estimator) * self.gpu_time_scale
+        return max(m, n)
 
     # -- planning ---------------------------------------------------------------
 
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
         """Split one flushed batch per the configured mode (cpu/gpu/hybrid)."""
-        stats = batch.stats()
-        m, n = self.device_estimates(stats, transfer_estimator)
+        items = batch.items
+        prefixes = BatchStats.fold(items)
         if self.mode == "cpu":
-            return DispatchPlan(list(batch.items), [], m, n, 1.0)
+            return self._plan_at(items, prefixes, len(items), transfer_estimator, 1.0)
         if self.mode == "gpu":
-            return DispatchPlan([], list(batch.items), m, n, 0.0)
-        cut = self._best_cut(batch.items, transfer_estimator)
-        cpu_items, gpu_items = list(batch.items[:cut]), list(batch.items[cut:])
-        k = self._fraction(cpu_items, batch.items)
-        return DispatchPlan(cpu_items, gpu_items, m, n, k)
+            return self._plan_at(items, prefixes, 0, transfer_estimator, 0.0)
+        suffixes = BatchStats.fold(reversed(items))
+        cut = self._best_cut(prefixes, suffixes, transfer_estimator)
+        return self._plan_at(items, prefixes, cut, transfer_estimator)
 
-    @staticmethod
-    def _fraction(cpu_items: list[WorkItem], items) -> float:
-        """Work fraction the CPU received: by FLOPs, or by item count for
-        all-zero-FLOP batches (data-only kinds must still report where
-        their items went)."""
-        total = sum(it.flops for it in items)
-        if total == 0:
-            return len(cpu_items) / len(items) if len(items) else 0.0
-        return sum(it.flops for it in cpu_items) / total
+    def _plan_at(
+        self, items, prefixes, cut, transfer_estimator, cpu_fraction=None
+    ) -> DispatchPlan:
+        """The plan that sends ``items[:cut]`` to the CPU.  Without an
+        explicit ``cpu_fraction`` it reports the share's FLOP fraction,
+        or its item fraction for all-zero-FLOP batches (data-only kinds
+        must still report where their items went)."""
+        whole, cpu_stats = prefixes[-1], prefixes[cut]
+        m, n = self.device_estimates(whole, transfer_estimator)
+        if cpu_fraction is None:
+            cpu_fraction = (
+                cpu_stats.flops / whole.flops if whole.flops
+                else cut / len(items) if items else 0.0
+            )
+        gpu_items = list(items[cut:])
+        gpu_stats = whole if cut == 0 else BatchStats.of(gpu_items)
+        return DispatchPlan(
+            list(items[:cut]), gpu_items, m, n, cpu_fraction, cpu_stats, gpu_stats
+        )
 
     # -- split search ----------------------------------------------------------
 
-    def _cpu_seconds(self, items: list[WorkItem]) -> float:
-        if not items:
-            return 0.0
-        return (
-            self.cpu_kernel.batch_timing(
-                BatchStats.of(items), self.cpu_threads
-            ).seconds
-            * self.cpu_time_scale
-        )
-
-    def _gpu_seconds(self, items: list[WorkItem], transfer_estimator=None) -> float:
-        if not items:
-            return 0.0
-        estimate = self._estimator(transfer_estimator)
-        stats = BatchStats.of(items)
-        return (
-            self.gpu_kernel.batch_timing(stats, self.gpu_streams).seconds
-            + estimate(stats)
-        ) * self.gpu_time_scale
-
-    def _best_cut(self, items: list[WorkItem], transfer_estimator=None) -> int:
+    def _best_cut(
+        self,
+        prefixes: list[BatchStats],
+        suffixes: list[BatchStats],
+        transfer_estimator=None,
+    ) -> int:
         """Cut index minimising ``max(cpu(items[:cut]), gpu(items[cut:]))``.
 
         This realises the paper's optimal overlap against the *actual*
@@ -176,47 +186,32 @@ class HybridDispatcher:
         idealisation — in particular it accounts for CPU thread
         starvation when the CPU's share would be only a few items (one
         CPU task is single-threaded), in which case it keeps the CPU
-        share small or empty.  All cuts are evaluated exactly, using
-        prefix/suffix aggregate statistics built in one pass each.
+        share small or empty.  The cost is not monotone in the cut, so
+        the search is exhaustive: it evaluates all n+1 cuts from the
+        prefix folds of the items (``prefixes``) and of the reversed
+        items (``suffixes``), built once each — O(n + total block keys)
+        aggregation plus 2n cost-model calls.  A cut's GPU estimate
+        comes from the reversed fold, which may price shared blocks
+        differently from the forward fold the plan reports for the
+        share (ROADMAP item 3).
         """
-        estimate = self._estimator(transfer_estimator)
-        n = len(items)
-        prefixes = self._running_stats(items)
-        suffixes = self._running_stats(list(reversed(items)))
+        n = len(prefixes) - 1
         best_cut = 0
         best_time = None
         for cut in range(n + 1):
-            cpu_t = (
-                self.cpu_kernel.batch_timing(prefixes[cut], self.cpu_threads).seconds
-                * self.cpu_time_scale
-                if cut
-                else 0.0
-            )
-            gpu_stats = suffixes[n - cut]
-            gpu_t = (
-                (
-                    self.gpu_kernel.batch_timing(gpu_stats, self.gpu_streams).seconds
-                    + estimate(gpu_stats)
-                )
-                * self.gpu_time_scale
-                if cut < n
-                else 0.0
-            )
-            t = max(cpu_t, gpu_t)
+            t = self._split_seconds(prefixes[cut], suffixes[n - cut], transfer_estimator)
             if best_time is None or t < best_time:
                 best_time = t
                 best_cut = cut
         return best_cut
 
     @staticmethod
-    def _split_by_flops(
-        items: list[WorkItem], cpu_fraction: float
-    ) -> tuple[list[WorkItem], list[WorkItem]]:
-        """Prefix the CPU's share by cumulative FLOPs (stable order)."""
+    def _flops_cut(items: list[WorkItem], cpu_fraction: float) -> int:
+        """Cut giving the CPU a prefix of ``cpu_fraction`` of the FLOPs
+        (stable order; by item count for all-zero-FLOP batches)."""
         total = sum(it.flops for it in items)
         if total == 0:
-            cut = int(round(cpu_fraction * len(items)))
-            return list(items[:cut]), list(items[cut:])
+            return int(round(cpu_fraction * len(items)))
         target = cpu_fraction * total
         acc = 0
         cut = 0
@@ -225,35 +220,7 @@ class HybridDispatcher:
                 break
             acc += it.flops
             cut = i + 1
-        return list(items[:cut]), list(items[cut:])
-
-    @staticmethod
-    def _running_stats(items: list[WorkItem]) -> list[BatchStats]:
-        """Aggregate statistics of every prefix of ``items`` (length n+1,
-        entry 0 empty), built incrementally in O(n)."""
-        out = [BatchStats()]
-        acc = BatchStats()
-        seen: set = set()
-        for it in items:
-            acc = BatchStats(
-                n_items=acc.n_items + 1,
-                flops=acc.flops + it.flops,
-                input_bytes=acc.input_bytes + it.input_bytes,
-                output_bytes=acc.output_bytes + it.output_bytes,
-                steps=acc.steps + it.steps,
-                step_rows=max(acc.step_rows, it.step_rows),
-                step_q=max(acc.step_q, it.step_q),
-                unique_block_bytes=acc.unique_block_bytes,
-                block_keys=acc.block_keys,
-            )
-            new = [k for k in it.block_keys if k not in seen]
-            if new:
-                seen.update(new)
-                per_block = it.block_bytes / max(1, len(it.block_keys))
-                acc.unique_block_bytes += int(per_block * len(new))
-            acc.block_keys = set(seen)
-            out.append(acc)
-        return out
+        return cut
 
 
 class StaticSplitDispatcher(HybridDispatcher):
@@ -275,7 +242,6 @@ class StaticSplitDispatcher(HybridDispatcher):
         cpu_fraction: float,
         cpu_threads: int,
         gpu_streams: int,
-        transfer_estimator=None,
     ):
         if not 0.0 <= cpu_fraction <= 1.0:
             raise RuntimeConfigError(
@@ -287,18 +253,17 @@ class StaticSplitDispatcher(HybridDispatcher):
             cpu_threads=cpu_threads,
             gpu_streams=gpu_streams,
             mode="hybrid",
-            transfer_estimator=transfer_estimator,
         )
         self.cpu_fraction = cpu_fraction
 
     def plan(self, batch: Batch, transfer_estimator=None) -> DispatchPlan:
         """Split the batch at the fixed developer-chosen CPU fraction."""
-        stats = batch.stats()
-        m, n = self.device_estimates(stats, transfer_estimator)
-        cpu_items, gpu_items = self._split_by_flops(
-            batch.items, self.cpu_fraction
+        items = batch.items
+        cut = self._flops_cut(items, self.cpu_fraction)
+        return self._plan_at(
+            items, BatchStats.fold(items), cut, transfer_estimator,
+            self.cpu_fraction,
         )
-        return DispatchPlan(cpu_items, gpu_items, m, n, self.cpu_fraction)
 
 
 class AdaptiveDispatcher(HybridDispatcher):
@@ -332,7 +297,6 @@ class AdaptiveDispatcher(HybridDispatcher):
         *,
         cpu_threads: int,
         gpu_streams: int,
-        transfer_estimator=None,
         cpu_scale: float = 1.0,
         gpu_scale: float = 1.0,
         ewma_alpha: float = 0.5,
@@ -352,7 +316,6 @@ class AdaptiveDispatcher(HybridDispatcher):
             cpu_threads=cpu_threads,
             gpu_streams=gpu_streams,
             mode="hybrid",
-            transfer_estimator=transfer_estimator,
         )
         self.cpu_time_scale = cpu_scale
         self.gpu_time_scale = gpu_scale

@@ -492,12 +492,8 @@ class NodeRuntime:
                 replanned, gpu_items = gpu_items, []
                 rec.degraded = True
             elif self.gpu_timeout is not None:
-                g_stats = BatchStats.of(gpu_items)
-                est = (
-                    self.dispatcher.gpu_kernel.batch_timing(
-                        g_stats, self.dispatcher.gpu_streams
-                    ).seconds
-                    + self._transfer_estimate(g_stats)
+                est = self.dispatcher.gpu_seconds(
+                    plan.gpu_stats, self._transfer_estimate
                 )
                 if est > self.gpu_timeout.timeout_seconds:
                     # the watchdog would kill it anyway: re-plan CPU-side
@@ -506,15 +502,17 @@ class NodeRuntime:
         if plan.cpu_items:
             parts.append(
                 env.process(
-                    self._cpu_part(env, plan.cpu_items, pools, rec, index)
+                    self._cpu_part(
+                        env, plan.cpu_items, plan.cpu_stats, pools, rec, index
+                    )
                 )
             )
         if gpu_items:
             parts.append(
                 env.process(
                     self._gpu_part(
-                        env, batch.kind, gpu_items, timeline, pools,
-                        inflight, rec, index,
+                        env, batch.kind, gpu_items, plan.gpu_stats, timeline,
+                        pools, inflight, rec, index,
                     )
                 )
             )
@@ -522,7 +520,8 @@ class NodeRuntime:
             parts.append(
                 env.process(
                     self._cpu_fallback(
-                        env, replanned, timeline, pools, rec, index
+                        env, replanned, plan.gpu_stats, timeline, pools, rec,
+                        index,
                     )
                 )
             )
@@ -605,12 +604,8 @@ class NodeRuntime:
             return
         raw_gpu_est = 0.0
         if plan.gpu_items:
-            gpu_stats = BatchStats.of(plan.gpu_items)
-            raw_gpu_est = (
-                self.dispatcher.gpu_kernel.batch_timing(
-                    gpu_stats, self.dispatcher.gpu_streams
-                ).seconds
-                + self._transfer_estimate(gpu_stats)
+            raw_gpu_est = self.dispatcher.gpu_seconds(
+                plan.gpu_stats, self._transfer_estimate
             )
         observe(
             est_cpu_seconds=rec.measured_cpu_seconds,  # raw model == charge
@@ -644,12 +639,8 @@ class NodeRuntime:
             for i in range(n)
         ]
 
-    def _cpu_part(self, env, items, pools, rec, batch=-1):
-        stats = BatchStats.of(items)
-        timing = self.dispatcher.cpu_kernel.batch_timing(
-            stats, self.dispatcher.cpu_threads
-        )
-        seconds = timing.seconds
+    def _cpu_part(self, env, items, stats, pools, rec, batch=-1):
+        seconds = self.dispatcher.cpu_seconds(stats)
         if self._chaos:
             seconds *= self.fault_injector.compute_slowdown(self.rank, env.now)
         # one CPU compute task is single-threaded, so the share occupies
@@ -666,20 +657,17 @@ class NodeRuntime:
         rec.measured_cpu_seconds = seconds
         self._run_numeric(self.dispatcher.cpu_kernel, items, None)
 
-    def _cpu_fallback(self, env, items, timeline, pools, rec, batch=-1):
+    def _cpu_fallback(self, env, items, stats, timeline, pools, rec, batch=-1):
         """Replay GPU-planned items on the CPU compute pool.
 
         The re-execution path of the resilience layer: items whose GPU
         share exhausted its retry budget, tripped the batch timeout, or
         arrived while the node was degraded run here exactly once — the
         postprocess accumulate happens once per batch regardless of how
-        the compute share was (re)placed.
+        the compute share was (re)placed.  ``stats`` aggregates ``items``
+        (always the plan's GPU share).
         """
-        stats = BatchStats.of(items)
-        timing = self.dispatcher.cpu_kernel.batch_timing(
-            stats, self.dispatcher.cpu_threads
-        )
-        seconds = timing.seconds
+        seconds = self.dispatcher.cpu_seconds(stats)
         if self._chaos:
             seconds *= self.fault_injector.compute_slowdown(self.rank, env.now)
         n_slices = (
@@ -699,9 +687,8 @@ class NodeRuntime:
             )
         self._run_numeric(self.dispatcher.cpu_kernel, items, timeline)
 
-    def _gpu_part(self, env, kind, items, timeline, pools, inflight, rec,
-                  batch_index=0):
-        stats = BatchStats.of(items)
+    def _gpu_part(self, env, kind, items, stats, timeline, pools, inflight,
+                  rec, batch_index=0):
         # double-buffered staging: hold one aggregation buffer from
         # transfer start until the kernel has consumed it.  Acquired
         # *before* the cache reservation — a shipper that has marked
@@ -723,21 +710,17 @@ class NodeRuntime:
             )
             bytes_in = stats.input_bytes + block_bytes
         else:
-            per_block = stats.unique_block_bytes / max(1, len(stats.block_keys))
-            # unique keys in first-use order (deterministic, unlike the
-            # aggregate stats' set)
-            ordered_keys: list = []
-            seen: set = set()
-            for it in items:
-                for k in it.block_keys:
-                    if k not in seen:
-                        seen.add(k)
-                        ordered_keys.append(k)
+            per_block = stats.unique_block_bytes / max(1, stats.n_blocks)
             # two-phase write-once cache: reserve now, resident only when
             # the transfer completes — a concurrent batch sees in-flight
-            # blocks as *waits*, not hits (the TOCTOU fix)
-            ticket = self.gpu_cache.begin_transfer(ordered_keys, per_block)
-            self._log_begin_transfer(kind, ordered_keys, env.now, batch_index)
+            # blocks as *waits*, not hits (the TOCTOU fix).  The cache
+            # dedups the keys in first-use order.
+            ticket = self.gpu_cache.begin_transfer(
+                (k for it in items for k in it.block_keys), per_block
+            )
+            self._log_begin_transfer(
+                kind, ticket.block_keys, env.now, batch_index
+            )
             arrival_events = [
                 inflight[k] for k in ticket.wait_keys if k in inflight
             ]
@@ -796,9 +779,7 @@ class NodeRuntime:
                 env.now, rec.block_wait_seconds
             )
 
-        timing = self.dispatcher.gpu_kernel.batch_timing(
-            stats, self.dispatcher.gpu_streams
-        )
+        compute_seconds = self.dispatcher.gpu_seconds(stats)
         block_keys_read = (
             ticket.ship_keys + ticket.wait_keys + ticket.hit_keys
             if ticket is not None
@@ -813,15 +794,15 @@ class NodeRuntime:
                     kind, block_keys_read, env.now, 0, batch_index
                 )
             slices = self._occupy_slices(
-                env, pools.gpu, n_slices, timing.seconds, "gpu",
+                env, pools.gpu, n_slices, compute_seconds, "gpu",
                 f"{len(items)} items", batch_index,
             )
             yield AllOf(env, slices)
-            rec.measured_gpu_seconds = timing.seconds
+            rec.measured_gpu_seconds = compute_seconds
             gpu_ok = True
         else:
             gpu_ok = yield from self._gpu_compute_attempts(
-                env, kind, items, pools, rec, timing.seconds, n_slices,
+                env, kind, items, pools, rec, compute_seconds, n_slices,
                 block_keys_read, batch_index,
             )
         if pools.stage is not None:
@@ -830,7 +811,7 @@ class NodeRuntime:
             # retry budget exhausted (or the node degraded mid-batch):
             # the share replays on the CPU; no device→host drain happens
             yield from self._cpu_fallback(
-                env, items, timeline, pools, rec, batch_index
+                env, items, stats, timeline, pools, rec, batch_index
             )
             return
 

@@ -20,8 +20,8 @@ safely aggregatable into one transfer buffer.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Hashable, Iterable
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -104,9 +104,14 @@ class HybridTask:
         return self.work
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchStats:
-    """Aggregate shape of a batch, consumed by the kernel cost models."""
+    """Aggregate shape of a batch, consumed by the kernel cost models.
+
+    An immutable value built by one fold over the items: :meth:`fold`
+    returns the stats of every prefix, :meth:`of` those of the whole
+    batch.
+    """
 
     n_items: int = 0
     flops: int = 0
@@ -116,26 +121,48 @@ class BatchStats:
     step_rows: int = 0
     step_q: int = 0
     unique_block_bytes: int = 0
-    block_keys: set = field(default_factory=set)
+    #: distinct operator blocks among the items
+    n_blocks: int = 0
 
     @classmethod
-    def of(cls, items: list[WorkItem]) -> "BatchStats":
-        """Aggregate ``items``, deduplicating operator-block bytes."""
-        stats = cls()
-        seen: dict[Hashable, None] = {}
+    def fold(cls, items: Iterable[WorkItem]) -> list["BatchStats"]:
+        """Stats of every prefix of ``items`` in one pass: entry ``c``
+        aggregates the first ``c`` items (entry 0 is empty).
+
+        Operator-block bytes are deduplicated by key: each of an item's
+        blocks costs ``block_bytes / len(block_keys)``, and only keys no
+        earlier item carried are added.  A key repeated inside one item
+        is added once per repetition (ROADMAP item 3).  O(n + total
+        keys): a prefix carries a count of distinct blocks, not a set.
+        """
+        out = [cls()]
+        n = flops = input_bytes = output_bytes = steps = 0
+        step_rows = step_q = unique_block_bytes = 0
+        seen: set[Hashable] = set()
         for it in items:
-            stats.n_items += 1
-            stats.flops += it.flops
-            stats.input_bytes += it.input_bytes
-            stats.output_bytes += it.output_bytes
-            stats.steps += it.steps
-            stats.step_rows = max(stats.step_rows, it.step_rows)
-            stats.step_q = max(stats.step_q, it.step_q)
-            new = [k for k in it.block_keys if k not in seen]
-            for k in new:
-                seen[k] = None
-            if it.block_keys:
-                per_block = it.block_bytes / max(1, len(it.block_keys))
-                stats.unique_block_bytes += int(per_block * len(new))
-        stats.block_keys = set(seen)
-        return stats
+            n += 1
+            flops += it.flops
+            input_bytes += it.input_bytes
+            output_bytes += it.output_bytes
+            steps += it.steps
+            step_rows = max(step_rows, it.step_rows)
+            step_q = max(step_q, it.step_q)
+            keys = it.block_keys
+            if keys:
+                new = [k for k in keys if k not in seen]
+                if new:
+                    seen.update(new)
+                    per_block = it.block_bytes / len(keys)
+                    unique_block_bytes += int(per_block * len(new))
+            out.append(
+                cls(
+                    n, flops, input_bytes, output_bytes, steps, step_rows,
+                    step_q, unique_block_bytes, len(seen),
+                )
+            )
+        return out
+
+    @classmethod
+    def of(cls, items: Iterable[WorkItem]) -> "BatchStats":
+        """Stats of the whole of ``items`` (the fold's last entry)."""
+        return cls.fold(items)[-1]

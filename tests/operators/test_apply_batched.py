@@ -101,3 +101,37 @@ def test_hybrid_time_between_pure_modes(problem_2d):
     for mode in ("cpu", "gpu", "hybrid"):
         times[mode] = BatchedApply(op, make_runtime(mode)).apply(f).timeline.total_seconds
     assert times["hybrid"] <= 1.15 * min(times["cpu"], times["gpu"])
+
+
+def test_coulomb_hybrid_node_run_is_pinned():
+    """A real Coulomb apply on one hybrid Titan node reproduces its pinned
+    transfer ledger and makespan.  It is the one real-numerics run whose
+    GPU shares hold items with repeated block keys, so it pins that the
+    node aggregates each GPU share by a forward fold of its items."""
+    from repro.apps.coulomb import CoulombApplication
+    from repro.hardware.cpu_model import CpuModel
+    from repro.hardware.gpu_model import GpuModel
+    from repro.hardware.specs import TITAN_NODE
+    from repro.kernels.cpu_kernel import CpuMtxmKernel
+    from repro.kernels.custom_gpu import CustomGpuKernel
+    from repro.runtime.dispatcher import HybridDispatcher
+    from repro.runtime.node import NodeRuntime
+
+    density, operator, _exact = CoulombApplication.real_instance(
+        k=3, thresh=1e-2, eps=1e-2, alpha=150.0
+    )
+    dispatcher = HybridDispatcher(
+        CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)),
+        CustomGpuKernel(GpuModel(TITAN_NODE.gpu)),
+        cpu_threads=10,
+        gpu_streams=5,
+        mode="hybrid",
+    )
+    runtime = NodeRuntime(
+        TITAN_NODE, dispatcher, flush_interval=0.005, max_batch_size=60
+    )
+    tl = BatchedApply(operator, runtime).apply(density).timeline
+    assert (tl.n_tasks, tl.n_gpu_items) == (3457, 108)
+    assert tl.block_bytes_shipped == 38_073
+    assert tl.bytes_to_gpu == 224_697
+    assert tl.total_seconds.hex() == "0x1.918a931054fecp-7"

@@ -110,11 +110,11 @@ def test_split_tracks_flops_fraction():
 def test_faster_gpu_means_smaller_cpu_share():
     """If the GPU estimate improves, the CPU keeps less work."""
     disp = _make_dispatcher("hybrid")
-    plan_small = disp.plan(_batch(flops=1_000_000))
-    disp_fast_gpu = _make_dispatcher("hybrid")
-    disp_fast_gpu.transfer_estimator = lambda stats: 0.0
-    plan_zero_transfer = disp_fast_gpu.plan(_batch(flops=1_000_000))
-    assert plan_zero_transfer.cpu_fraction <= plan_small.cpu_fraction + 1e-9
+    plan_with_transfer = disp.plan(
+        _batch(flops=1_000_000), transfer_estimator=lambda stats: 1e-3
+    )
+    plan_zero_transfer = disp.plan(_batch(flops=1_000_000))
+    assert plan_zero_transfer.cpu_fraction <= plan_with_transfer.cpu_fraction + 1e-9
 
 
 def test_unknown_mode_rejected():
@@ -140,21 +140,22 @@ def test_zero_flop_batch_reports_item_fraction():
         WorkItem(kind=kind, flops=0, input_bytes=64000, output_bytes=64000)
         for _ in range(10)
     ]
-    cpu_items, gpu_items = items[:4], items[4:]
-    k = HybridDispatcher._fraction(cpu_items, items)
+    disp = _make_dispatcher("hybrid")
+    k = disp._plan_at(items, BatchStats.fold(items), 4, None).cpu_fraction
     assert k == pytest.approx(0.4)
-    assert HybridDispatcher._fraction([], []) == 0.0  # repro: noqa[FLT001] - exact zero branch
+    empty = disp._plan_at([], BatchStats.fold([]), 0, None)
+    assert empty.cpu_fraction == 0.0  # repro: noqa[FLT001] - exact zero branch
 
 
 def test_per_plan_transfer_estimator_does_not_stick():
-    """plan() takes the transfer estimator per call; the instance default
-    must survive untouched so shared dispatchers stay uncorrupted."""
+    """plan() takes the transfer estimator per call; it must not stick to
+    the instance, so shared dispatchers stay uncorrupted: a later plan
+    without one equals a fresh dispatcher's plan."""
     disp = _make_dispatcher("hybrid")
-    default = disp.transfer_estimator
     expensive = lambda stats: 10.0  # noqa: E731
     plan_slow = disp.plan(_batch(flops=1_000_000), transfer_estimator=expensive)
-    assert disp.transfer_estimator is default
     plan_default = disp.plan(_batch(flops=1_000_000))
+    assert plan_default == _make_dispatcher("hybrid").plan(_batch(flops=1_000_000))
     # a 10s transfer charge must push work off the GPU
     assert plan_slow.cpu_fraction >= plan_default.cpu_fraction
 

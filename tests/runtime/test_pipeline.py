@@ -138,9 +138,9 @@ def test_shared_dispatcher_not_mutated_by_execute():
     """Regression: execute() used to assign its transfer estimator onto
     the dispatcher, corrupting other runtimes sharing the instance."""
     rt = make_pipeline_runtime()
-    before = rt.dispatcher.transfer_estimator
+    before = dict(vars(rt.dispatcher))
     rt.execute(make_tasks(30))
-    assert rt.dispatcher.transfer_estimator is before
+    assert vars(rt.dispatcher) == before
 
 
 def test_invalid_admission_window_rejected():

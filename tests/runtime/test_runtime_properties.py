@@ -79,7 +79,7 @@ def _item(flops: int) -> WorkItem:
 )
 @settings(max_examples=40, deadline=None)
 def test_dispatcher_cut_is_optimal(flops_list, threads, streams):
-    """The bisection cut matches brute-force minimisation of
+    """The exhaustive search's cut matches brute-force minimisation of
     max(cpu(prefix), gpu(suffix)) over all cuts."""
     disp = HybridDispatcher(
         CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)),
@@ -91,11 +91,11 @@ def test_dispatcher_cut_is_optimal(flops_list, threads, streams):
     items = [_item(f) for f in flops_list]
     batch = Batch(kind=items[0].kind, items=items, created_at=0.0, flushed_at=0.0)
     plan = disp.plan(batch)
-    achieved = max(
-        disp._cpu_seconds(plan.cpu_items), disp._gpu_seconds(plan.gpu_items)
+    achieved = disp._split_seconds(
+        BatchStats.of(plan.cpu_items), BatchStats.of(plan.gpu_items)
     )
     best = min(
-        max(disp._cpu_seconds(items[:cut]), disp._gpu_seconds(items[cut:]))
+        disp._split_seconds(BatchStats.of(items[:cut]), BatchStats.of(items[cut:]))
         for cut in range(len(items) + 1)
     )
     assert achieved <= best * (1.0 + 1e-9)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernels.gpu_cache import GpuBlockCache
 from repro.runtime.task import BatchStats, HybridTask, TaskKind, WorkItem
 
 
@@ -58,7 +59,15 @@ def test_batch_stats_aggregation():
     assert stats.input_bytes == 200
     assert stats.output_bytes == 100
     assert stats.steps == 6
-    assert stats.block_keys == {"a", "b", "c"}
+    assert stats.n_blocks == 3
+    # the distinct keys themselves, in first-use order, come from the
+    # device cache the node reserves them in
+    ticket = GpuBlockCache(1 << 20).begin_transfer(
+        (k for it in items for k in it.block_keys),
+        stats.unique_block_bytes / stats.n_blocks,
+    )
+    assert ticket.block_keys == ("a", "b", "c")
+    assert ticket.ship_keys == ("a", "b", "c")
 
 
 def test_batch_stats_unique_block_bytes_dedups():
