@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-tests races ruff mypy test perfbench-test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence
+.PHONY: check lint lint-tests races ruff mypy test perfbench-test coverage golden trace-check steal-smoke serve-smoke chaos-sched-smoke des-smoke des-equivalence operator-equivalence
 
 ## check: everything CI runs — in-tree analyzer, race gate, ruff, mypy,
 ## tier-1 tests, the benchmark's own tests
@@ -82,6 +82,18 @@ des-equivalence:
 	$(PYTHON) -m pytest tests/runtime/test_des_equivalence.py \
 	    tests/runtime/test_des_tiebreak.py \
 	    tests/cluster/test_stealing.py::test_lazy_board_matches_legacy_scan -q
+
+## operator-equivalence: the operator-table gate — the build-once
+## quadrature windows, batched norms, ring-batched screening rows and
+## per-signature payload stacks must equal a per-call evaluation bit for
+## bit, the evaluator the per-term mtxmq chain, and two Coulomb applies
+## their pinned result bytes and node ledger (blocking in CI)
+operator-equivalence:
+	$(PYTHON) -m pytest tests/operators/test_operator_tables_exact.py \
+	    tests/kernels/test_numeric_equivalence.py \
+	    tests/operators/test_apply_batched.py::test_coulomb_hybrid_node_run_is_pinned \
+	    tests/operators/test_apply_batched.py::test_coulomb_hybrid_node_result_bytes_are_pinned \
+	    tests/operators/test_apply_batched.py::test_reference_apply_result_bytes_are_pinned -q
 
 ## des-smoke: reduced-scale DES-core benchmark — a 500-rank stealing
 ## run against the legacy engine's pinned outputs, plus the committed

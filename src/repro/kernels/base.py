@@ -1,9 +1,13 @@
 """Kernel interface and the numeric payload format.
 
 A :class:`FormulaPayload` is one Formula 1 evaluation: an input tensor
-``s`` of shape ``(q,) * d``, per-rank-term factor matrices (already
-oriented for :func:`repro.tensor.transform.transform_seq`, i.e. the
-transpose of the operator blocks), and the rank coefficients.
+``s`` of shape ``(q,) * d``, one ``(M, q, q)`` stack of factor matrices
+per axis (already oriented for :func:`repro.tensor.transform.transform_seq`,
+i.e. the transposes of the operator blocks), and the rank coefficients.
+The stacks are the only stored form.  A Coulomb ``Apply`` hands every
+task with the same operator signature the same read-only stacks
+(:meth:`repro.operators.convolution.GaussianConvolution.formula_terms`),
+so no payload copies or re-stacks a block.
 
 :func:`evaluate_formula` is the one numeric evaluator of the three
 kernels (the CPU kernel leaves it only for rank reduction).  It stages
@@ -26,36 +30,47 @@ from repro.tensor.flops import add_flops, mtxm_flops
 from repro.tensor.transform import transform_seq
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormulaPayload:
     """Numeric data of one Formula 1 work item.
 
     Attributes:
         s: input tensor, shape ``(q,) * d``.
-        factors: ``factors[mu]`` is a tuple of ``d`` matrices applied to
-            the successive dimensions (transform orientation).
+        stacks: ``stacks[axis][mu]`` is the matrix term ``mu`` applies to
+            dimension ``axis`` (transform orientation); one ``(M, q, q)``
+            array per dimension.
         coeffs: the ``c_mu`` scalars.
     """
 
     s: np.ndarray
-    factors: list[tuple[np.ndarray, ...]]
+    stacks: tuple[np.ndarray, ...]
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.factors) != len(self.coeffs):
+        if len(self.stacks) != self.s.ndim:
             raise TensorShapeError(
-                f"{len(self.factors)} factor sets vs {len(self.coeffs)} coefficients"
+                f"{len(self.stacks)} factor stacks for a {self.s.ndim}-d tensor"
             )
+        for stack in self.stacks:
+            if stack.ndim != 3 or stack.shape[0] != len(self.coeffs):
+                raise TensorShapeError(
+                    f"factor stack {stack.shape} vs {len(self.coeffs)} coefficients"
+                )
 
     @property
     def rank(self) -> int:
         """Separation rank M of the payload's operator expansion."""
-        return len(self.factors)
+        return len(self.coeffs)
 
     @property
     def dim(self) -> int:
         """Dimensionality d of the payload tensor."""
         return self.s.ndim
+
+    @property
+    def factors(self) -> list[tuple[np.ndarray, ...]]:
+        """Per-term view of the stacks: ``factors[mu][axis]`` (no copies)."""
+        return [tuple(stack[mu] for stack in self.stacks) for mu in range(self.rank)]
 
     def reference_result(self) -> np.ndarray:
         """Per-term ``mtxmq``-chain evaluation — ground truth in tests."""
@@ -81,9 +96,9 @@ def evaluate_formula(payload: FormulaPayload) -> np.ndarray:
     """Evaluate one Formula 1 payload, batched over the rank index.
 
     The NumPy analogue of the fused ``cu_mtxmq`` kernel: instead of
-    ``M x d`` separate ``mtxmq`` calls, each axis is one stage — the M
-    factor matrices of that axis are stacked into an ``(M, q, q)`` array
-    and one ``np.matmul`` advances all M running tensors at once.  Every
+    ``M x d`` separate ``mtxmq`` calls, each axis is one stage — one
+    ``np.matmul`` with that axis's ``(M, q, q)`` stack advances all M
+    running tensors at once.  Every
     term still gets the same ``a.T @ b`` BLAS call as the ``mtxmq`` chain
     and the terms are accumulated in the same order, so the result is
     bit-for-bit identical to :meth:`FormulaPayload.reference_result`.
@@ -103,7 +118,7 @@ def evaluate_formula(payload: FormulaPayload) -> np.ndarray:
             # rotate like mtxmq: the contracted index of each term's
             # (rest, q) result leads again, viewed transposed for a.T @ b
             t = t.reshape(m, q, rest).transpose(0, 2, 1)
-        t = np.matmul(t, np.stack([hs[axis] for hs in payload.factors]))
+        t = np.matmul(t, payload.stacks[axis])
         add_flops(m * mtxm_flops(rest, q, q), "mtxmq")
     for c, term in zip(payload.coeffs, t.reshape((m,) + s.shape)):
         out += c * term

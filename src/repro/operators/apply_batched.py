@@ -6,7 +6,10 @@ runtime, exactly as the paper's Algorithm 3 does:
 
 - ``integral_preprocess`` (Algorithm 4): for one (source node,
   displacement) pair, look up the ``h`` operator matrices (from the
-  operator's write-once CPU cache) and emit a batched work item;
+  operator's write-once CPU cache) and emit a batched work item.  The
+  lookup is one per task: every task with the same ``(level, delta,
+  kept terms, kind)`` shares one read-only set of per-axis factor stacks
+  (:meth:`GaussianConvolution.formula_terms`);
 - ``integral_compute`` (Algorithm 5): Formula 1 on the batched inputs —
   executed by whichever kernel (CPU / custom GPU / cuBLAS) the
   dispatcher sends the item to;
@@ -137,38 +140,28 @@ class BatchedApply:
         op = self.op
         q = s.shape[0]
         dim = op.dim
-        sign = 1.0 if ns else -1.0
         kind = TaskKind(
             "integral_compute" if ns else "integral_compute_corner",
             (level, q, dim),
         )
-        block_keys = tuple(
-            (level, delta[axis], int(mu), ns)
-            for mu in keep
-            for axis in range(dim)
-        )
-        steps = int(keep.size) * dim
+        steps = int(keep.size) * dim  # one mtxmq, and one block, per step
         rows = q ** (dim - 1)
         flops = steps * 2 * rows * q * q
         corner = scaling_corner(dim, op.k)
 
         def preprocess() -> WorkItem:
-            # Algorithm 4: obtain the h 2-D tensors (write-once CPU cache).
-            block = op.ns_block if ns else op.r_block
-            factors = [
-                tuple(block(level, delta[axis], int(mu)).T for axis in range(dim))
-                for mu in keep
-            ]
-            coeffs = sign * op.expansion.coeffs[keep]
-            payload = FormulaPayload(s=s, factors=factors, coeffs=coeffs)
+            # Algorithm 4: obtain the h 2-D tensors (write-once CPU cache);
+            # tasks of one signature share the stacked blocks
+            terms = op.formula_terms(level, delta, keep, ns=ns)
+            payload = FormulaPayload(s=s, stacks=terms.stacks, coeffs=terms.coeffs)
             return WorkItem(
                 kind=kind,
                 payload=payload,
                 flops=flops,
                 input_bytes=s.nbytes,
                 output_bytes=s.nbytes,
-                block_keys=block_keys,
-                block_bytes=len(block_keys) * q * q * 8,
+                block_keys=terms.block_keys,
+                block_bytes=steps * q * q * 8,
                 steps=steps,
                 step_rows=rows,
                 step_q=q,
@@ -189,7 +182,7 @@ class BatchedApply:
             preprocess=preprocess,
             # input copy into the aggregation buffer plus per-block cache
             # lookups; the blocks themselves are not copied on the host
-            pre_bytes=s.nbytes + 64 * len(block_keys),
+            pre_bytes=s.nbytes + 64 * steps,
             post_bytes=s.nbytes,
         )
 

@@ -12,7 +12,9 @@ The double integral is reduced to a single integral over ``w = u - v``
 against the basis cross-correlation functions (piecewise polynomials),
 and the ``w`` quadrature window is clipped to the effective support of
 the Gaussian — this keeps the computation accurate for arbitrarily sharp
-kernels, which tensor-product quadrature would miss entirely.
+kernels, which tensor-product quadrature would miss entirely.  Only sharp
+kernels clip it: the unclipped window of each piece depends on ``k``
+alone and is built once (:func:`full_windows`).
 
 ``ns_block_from_children`` assembles the ``(2k, 2k)`` nonstandard-form
 block at level ``n`` from the three level ``n+1`` blocks via the
@@ -24,6 +26,7 @@ nonstandard ``Apply`` correct.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +38,11 @@ from repro.mra.twoscale import TwoScaleFilter
 _TAIL = 7.0
 #: quadrature points for the outer (w) integral per piece.
 _NW = 48
+#: the two polynomial pieces of the correlation functions' support.
+_PIECES = ((-1.0, 0.0), (0.0, 1.0))
+
+#: one quadrature window: points, weights and correlation matrices.
+Window = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def phi_correlation(k: int, w: np.ndarray) -> np.ndarray:
@@ -59,6 +67,27 @@ def phi_correlation(k: int, w: np.ndarray) -> np.ndarray:
     return np.einsum("qp,qpi,qpj->qij", weights, phi_vw, phi_v)
 
 
+def _window(k: int, wlo: float, whi: float) -> Window:
+    """``(w_q, w_wt, corr)``: the ``_NW``-point rule on ``[wlo, whi]``."""
+    x, wt = gauss_legendre(_NW)
+    w_q = wlo + (whi - wlo) * x
+    w_wt = (whi - wlo) * wt
+    return w_q, w_wt, phi_correlation(k, w_q)
+
+
+@lru_cache(maxsize=64)
+def full_windows(k: int) -> tuple[Window, Window]:
+    """The unclipped windows of both pieces, built once per ``k``.
+
+    Every Gaussian wider than a box uses them unchanged, so all blocks of
+    one order share these read-only arrays.
+    """
+    neg, pos = (_window(k, lo, hi) for lo, hi in _PIECES)
+    for arr in neg + pos:
+        arr.setflags(write=False)
+    return neg, pos
+
+
 def gaussian_block_1d(k: int, a: float, level: int, delta: int) -> np.ndarray:
     """The ``(k, k)`` scaling-basis block ``R^{n,delta}`` of ``exp(-a r^2)``.
 
@@ -80,16 +109,14 @@ def gaussian_block_1d(k: int, a: float, level: int, delta: int) -> np.ndarray:
     halfwidth = _TAIL / math.sqrt(beta)
     center = -float(delta)
     out = np.zeros((k, k))
-    for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
+    for (lo, hi), full in zip(_PIECES, full_windows(k)):
         wlo = max(lo, center - halfwidth)
         whi = min(hi, center + halfwidth)
         if whi <= wlo:
             continue
-        x, wt = gauss_legendre(_NW)
-        w_q = wlo + (whi - wlo) * x
-        w_wt = (whi - wlo) * wt
+        # only sharp Gaussians clip the window; their rule is per call
+        w_q, w_wt, corr = full if (wlo, whi) == (lo, hi) else _window(k, wlo, whi)
         gauss = np.exp(-beta * (w_q + delta) ** 2)
-        corr = phi_correlation(k, w_q)
         out += np.einsum("q,q,qij->ij", w_wt, gauss, corr)
     return out * 2.0 ** (-level)
 

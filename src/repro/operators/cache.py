@@ -15,8 +15,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import Any, Protocol, TypeVar
 
-import numpy as np
+
+class _Sized(Protocol):
+    @property
+    def nbytes(self) -> int: ...
+
+
+_Entry = TypeVar("_Entry", bound=_Sized)
 
 
 @dataclass
@@ -55,17 +62,17 @@ class OperatorBlockCache:
 
     "Write-once" means an entry is never replaced or evicted: operator
     blocks are immutable for the lifetime of an ``Apply`` call, so the
-    first computation (or transfer) is the only one.
+    first computation (or transfer) is the only one.  An entry is any
+    value with an ``nbytes`` size: a block, or the per-signature
+    :class:`~repro.operators.convolution.FormulaTerms` built from them.
     """
 
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        self._data: dict[Hashable, np.ndarray] = {}
+        self._data: dict[Hashable, Any] = {}
 
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
+    def get_or_compute(self, key: Hashable, compute: Callable[[], _Entry]) -> _Entry:
         """The cached block for ``key``, computing and inserting on miss."""
         entry = self._data.get(key)
         if entry is not None:

@@ -12,6 +12,15 @@ scaling->scaling part subtracted at every level but the coarsest (the
 telescoping that prevents double counting across scales).  The 2-D
 operator matrices are produced lazily per ``(level, displacement, mu)``
 and held in the write-once software cache the paper describes.
+
+Everything derived from them is built once per operator and read-only:
+the 1-D norms per ``(level, |delta|)`` (one batched spectral norm over
+the M stacked blocks), the per-mu screening norms per ``(level, delta,
+subtracted)`` (tabulated a whole displacement ring at a time by
+:meth:`GaussianConvolution.level_displacements`, then looked up by
+:meth:`GaussianConvolution.term_norms`), and the payload terms of the
+batched Apply per ``(level, delta, keep, ns)``
+(:meth:`GaussianConvolution.formula_terms`).
 """
 
 from __future__ import annotations
@@ -61,6 +70,28 @@ class ApplyStats:
         self.by_level[level] = self.by_level.get(level, 0) + 1
 
 
+@dataclass(frozen=True)
+class FormulaTerms:
+    """What every task with one ``(level, delta, keep, ns)`` signature shares.
+
+    Attributes:
+        stacks: one read-only ``(M, q, q)`` array per axis, the kept
+            terms' operator blocks in transform orientation (transposed).
+        coeffs: the read-only signed ``c_mu`` of the kept terms.
+        block_keys: ``(level, delta_axis, mu, ns)`` per term and axis,
+            the keys the GPU block cache ships by.
+    """
+
+    stacks: tuple[np.ndarray, ...]
+    coeffs: np.ndarray
+    block_keys: tuple[tuple[int, int, int, bool], ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the arrays (the cache's insertion ledger)."""
+        return sum(s.nbytes for s in self.stacks) + self.coeffs.nbytes
+
+
 class GaussianConvolution:
     """A convolution operator in separated Gaussian form.
 
@@ -91,7 +122,9 @@ class GaussianConvolution:
         self.filter = TwoScaleFilter.build(k)
         self.r_cache = OperatorBlockCache()
         self.ns_cache = OperatorBlockCache()
-        self._norm1d: dict[tuple[int, int, int], float] = {}
+        self.terms_cache = OperatorBlockCache()
+        self._norm1d: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._term_rows: dict[tuple[int, tuple[int, ...], bool], np.ndarray] = {}
         self._level_disps: dict[int, list[tuple[tuple[int, ...], float]]] = {}
 
     # -- 1-D blocks -----------------------------------------------------------
@@ -124,6 +157,34 @@ class GaussianConvolution:
             ),
         )
 
+    def formula_terms(
+        self, level: int, delta: tuple[int, ...], keep: np.ndarray, *, ns: bool
+    ) -> FormulaTerms:
+        """The operator half of a Formula 1 payload, built once per signature.
+
+        ``keep`` lists the retained rank terms.  ``ns=True`` gives the NS
+        blocks with the expansion coefficients; ``ns=False`` the telescoping
+        correction, the ``R`` blocks with negated coefficients.  Tasks with
+        the same ``(level, delta, keep, ns)`` share one entry of
+        :attr:`terms_cache`.
+        """
+        return self.terms_cache.get_or_compute(
+            (level, delta, keep.tobytes(), ns),
+            lambda: self._build_terms(level, delta, keep, ns=ns),
+        )
+
+    def _build_terms(
+        self, level: int, delta: tuple[int, ...], keep: np.ndarray, *, ns: bool
+    ) -> FormulaTerms:
+        block = self.ns_block if ns else self.r_block
+        mus = [int(mu) for mu in keep]
+        stacks = tuple(np.stack([block(level, d, mu).T for mu in mus]) for d in delta)
+        coeffs = (1.0 if ns else -1.0) * self.expansion.coeffs[keep]
+        for arr in stacks + (coeffs,):
+            arr.setflags(write=False)
+        block_keys = tuple((level, d, mu, ns) for mu in mus for d in delta)
+        return FormulaTerms(stacks=stacks, coeffs=coeffs, block_keys=block_keys)
+
     def _norms_1d(self, level: int, dabs: int) -> tuple[np.ndarray, np.ndarray]:
         """Cached per-mu 1-D norms at ``(level, |delta|)``.
 
@@ -131,49 +192,73 @@ class GaussianConvolution:
         block and of the NS block with its scaling->scaling corner
         removed.  The coupling norm is what decays rapidly with distance
         (the wavelets' vanishing moments), and is the correct screening
-        quantity for the telescoped operator.
+        quantity for the telescoped operator.  Each kind is one batched
+        norm over the stacked ``(M, 2k, 2k)`` blocks.
         """
         key = (level, dabs)
         cached = self._norm1d.get(key)
         if cached is not None:
             return cached
-        rank = self.expansion.rank
-        n_full = np.empty(rank)
-        n_coup = np.empty(rank)
-        for mu in range(rank):
-            t = self.ns_block(level, dabs, mu)
-            n_full[mu] = np.linalg.norm(t, 2)
-            td = t.copy()
-            td[: self.k, : self.k] -= self.r_block(level, dabs, mu)
-            n_coup[mu] = np.linalg.norm(td, 2)
+        mus = range(self.expansion.rank)
+        t = np.stack([self.ns_block(level, dabs, mu) for mu in mus])
+        n_full = np.linalg.norm(t, 2, axis=(1, 2))
+        t[:, : self.k, : self.k] -= np.stack([self.r_block(level, dabs, mu) for mu in mus])
+        n_coup = np.linalg.norm(t, 2, axis=(1, 2))
+        n_full.setflags(write=False)
+        n_coup.setflags(write=False)
         self._norm1d[key] = (n_full, n_coup)
         return n_full, n_coup
+
+    def _tabulate_norms(
+        self, level: int, deltas: list[tuple[int, ...]], subtracted: bool
+    ) -> np.ndarray:
+        """Per-mu norm estimates of many displacements as one ``(n, M)`` array.
+
+        For the unsubtracted operator (coarsest level) the tensor-product
+        bound is the product of 1-D norms.  For the telescoped operator
+        ``(x)T - (x)embed(R)`` the bound follows from the telescoping
+        identity: ``sum_i ||T_i - embed(R_i)|| * prod_{j != i} ||T_j||``.
+        Each row is multiplied in the same axis order as a single
+        displacement's would be, so rows do not depend on the batch.  The
+        rows are read-only and enter the :meth:`term_norms` table.
+        """
+        absd = np.abs(np.array(deltas)).T  # (d, n)
+        norms = [self._norms_1d(level, dabs) for dabs in range(int(absd.max()) + 1)]
+        full_tab = np.stack([nf for nf, _nc in norms])
+        full = [full_tab[a] for a in absd]
+        coeffs = np.abs(self.expansion.coeffs)
+        if not subtracted:
+            out = np.broadcast_to(coeffs, full[0].shape)
+            for nf in full:
+                out = out * nf
+        else:
+            coup_tab = np.stack([nc for _nf, nc in norms])
+            total = np.zeros(full[0].shape)
+            for i in range(len(full)):
+                term = coup_tab[absd[i]]
+                for j, nf in enumerate(full):
+                    if j != i:
+                        term = term * nf
+                total += term
+            out = coeffs * total
+        out.setflags(write=False)
+        for delta, row in zip(deltas, out):
+            self._term_rows[(level, delta, subtracted)] = row
+        return out
 
     def term_norms(
         self, level: int, delta: tuple[int, ...], *, subtracted: bool
     ) -> np.ndarray:
         """Per-mu operator-norm estimates for one displacement vector.
 
-        For the unsubtracted operator (coarsest level) the tensor-product
-        bound is the product of 1-D norms.  For the telescoped operator
-        ``(x)T - (x)embed(R)`` the bound follows from the telescoping
-        identity: ``sum_i ||T_i - embed(R_i)|| * prod_{j != i} ||T_j||``.
+        A read-only row of the table :meth:`level_displacements` fills
+        ring by ring; a displacement outside the screened rings is
+        tabulated on first use.
         """
-        full = [self._norms_1d(level, abs(d))[0] for d in delta]
-        if not subtracted:
-            out = np.abs(self.expansion.coeffs).copy()
-            for nf in full:
-                out = out * nf
-            return out
-        coup = [self._norms_1d(level, abs(d))[1] for d in delta]
-        total = np.zeros(self.expansion.rank)
-        for i in range(len(delta)):
-            term = coup[i].copy()
-            for j in range(len(delta)):
-                if j != i:
-                    term = term * full[j]
-            total += term
-        return np.abs(self.expansion.coeffs) * total
+        row = self._term_rows.get((level, delta, subtracted))
+        if row is None:
+            row = self._tabulate_norms(level, [delta], subtracted)[0]
+        return row
 
     def operator_norm(
         self, level: int, delta: tuple[int, ...], *, subtracted: bool
@@ -188,9 +273,10 @@ class GaussianConvolution:
 
         Rings of increasing Chebyshev radius are generated until a whole
         ring falls below ``thresh * 1e-3`` (relative to a unit-norm
-        source), or the hard radius cap is hit.  The list is cached per
-        level and shared by all tasks — it is the MADNESS "obtain
-        displacements" step of Algorithm 1.
+        source), or the hard radius cap is hit.  Each ring's term norms
+        are evaluated at once and kept for :meth:`term_norms`.  The list
+        is cached per level and shared by all tasks — it is the MADNESS
+        "obtain displacements" step of Algorithm 1.
         """
         cached = self._level_disps.get(level)
         if cached is not None:
@@ -199,14 +285,14 @@ class GaussianConvolution:
         subtracted = level > 0
         out: list[tuple[tuple[int, ...], float]] = []
         for radius in range(self.max_radius + 1):
-            ring = []
-            for delta in displacement_ring(self.dim, radius):
-                norm = self.operator_norm(level, delta, subtracted=subtracted)
-                if norm > floor:
-                    ring.append((delta, norm))
-            if radius > 0 and not ring:
+            ring = list(displacement_ring(self.dim, radius))
+            sums = self._tabulate_norms(level, ring, subtracted).sum(axis=1)
+            kept = [
+                (delta, float(norm)) for delta, norm in zip(ring, sums) if norm > floor
+            ]
+            if radius > 0 and not kept:
                 break
-            out.extend(ring)
+            out.extend(kept)
         self._level_disps[level] = out
         return out
 

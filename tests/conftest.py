@@ -13,6 +13,7 @@ import pytest
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import TITAN_NODE
+from repro.kernels.base import FormulaPayload
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.cublas_gpu import CublasKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
@@ -90,6 +91,16 @@ def cpu_model() -> CpuModel:
 @pytest.fixture()
 def gpu_model() -> GpuModel:
     return GpuModel(TITAN_NODE.gpu)
+
+
+def payload_from_factors(s, factors, coeffs) -> FormulaPayload:
+    """A payload from per-term factor tuples (``factors[mu][axis]``)."""
+    q = s.shape[0]
+    stacks = tuple(
+        np.stack([hs[axis] for hs in factors]) if factors else np.empty((0, q, q))
+        for axis in range(s.ndim)
+    )
+    return FormulaPayload(s=s, stacks=stacks, coeffs=coeffs)
 
 
 def make_runtime(

@@ -20,7 +20,6 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.dht.process_map import HashProcessMap
 from repro.faults.injector import FaultInjector
 from repro.faults.models import CheckpointCorruption, NodeCrash
-from repro.kernels.base import FormulaPayload
 from repro.lint.trace_check import verify_tracer
 from repro.recovery import (
     CheckpointCostModel,
@@ -31,7 +30,7 @@ from repro.recovery import (
 )
 from repro.runtime.task import HybridTask
 from repro.runtime.trace import Tracer
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, payload_from_factors
 
 #: the payload workload's makespan is ~17 ms, so detection/restart
 #: charges are scaled down to stay proportionate
@@ -45,7 +44,7 @@ def payload_tasks(n: int = 60, seed: int = 42) -> list[HybridTask]:
     q, dim, rank = 12, 2, 3
     out = []
     for _ in range(n):
-        payload = FormulaPayload(
+        payload = payload_from_factors(
             s=rng.standard_normal((q,) * dim),
             factors=[
                 tuple(rng.standard_normal((q, q)) for _ in range(dim))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.apps.coulomb import probe_item
 from repro.faults.injector import FaultInjector
 from repro.faults.models import CheckpointCorruption, NodeCrash
-from repro.kernels.base import FormulaPayload
 from repro.lint.trace_check import verify_tracer
 from repro.recovery import (
     CheckpointCostModel,
@@ -29,7 +28,7 @@ from repro.recovery import (
 )
 from repro.runtime.task import HybridTask
 from repro.runtime.trace import Tracer
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, payload_from_factors
 
 N_TASKS = 40
 COST = CheckpointCostModel(drain_gbps=4.0, restart_seconds=1e-4)
@@ -41,7 +40,7 @@ def payload_tasks() -> list[HybridTask]:
     q, dim, rank = 10, 2, 3
     out = []
     for _ in range(N_TASKS):
-        payload = FormulaPayload(
+        payload = payload_from_factors(
             s=rng.standard_normal((q,) * dim),
             factors=[
                 tuple(rng.standard_normal((q, q)) for _ in range(dim))

@@ -14,7 +14,7 @@ from repro.apps.coulomb import CoulombApplication
 from repro.hardware.cpu_model import CpuModel
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.specs import TITAN_NODE
-from repro.kernels.base import FormulaPayload, evaluate_formula
+from repro.kernels.base import evaluate_formula
 from repro.kernels.cpu_kernel import CpuMtxmKernel
 from repro.kernels.cublas_gpu import CublasKernel
 from repro.kernels.custom_gpu import CustomGpuKernel
@@ -23,12 +23,12 @@ from repro.operators.apply_batched import BatchedApply
 from repro.operators.convolution import ApplyStats
 from repro.runtime.task import TaskKind, WorkItem
 from repro.tensor.flops import flop_counter
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, payload_from_factors
 
 
 def payload_item(seed: int, dim: int = 2, q: int = 6, rank: int = 3) -> WorkItem:
     rng = np.random.default_rng(seed)
-    payload = FormulaPayload(
+    payload = payload_from_factors(
         s=rng.standard_normal((q,) * dim),
         factors=[
             tuple(rng.standard_normal((q, q)) for _ in range(dim))
@@ -139,7 +139,7 @@ def test_rank_reduced_cpu_close_but_cheaper():
         tuple(rng.standard_normal((q, q)) * np.outer(scale, scale) for _ in range(dim))
         for _ in range(rank)
     ]
-    payload = FormulaPayload(
+    payload = payload_from_factors(
         s=rng.standard_normal((q,) * dim),
         factors=factors,
         coeffs=np.ones(rank),

@@ -1,5 +1,7 @@
 """The hybrid batched Apply must agree with the reference Apply."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,12 +105,26 @@ def test_hybrid_time_between_pure_modes(problem_2d):
     assert times["hybrid"] <= 1.15 * min(times["cpu"], times["gpu"])
 
 
-def test_coulomb_hybrid_node_run_is_pinned():
-    """A real Coulomb apply on one hybrid Titan node reproduces its pinned
-    transfer ledger and makespan.  It is the one real-numerics run whose
-    GPU shares hold items with repeated block keys, so it pins that the
-    node aggregates each GPU share by a forward fold of its items."""
+def coulomb_instance():
     from repro.apps.coulomb import CoulombApplication
+
+    return CoulombApplication.real_instance(k=3, thresh=1e-2, eps=1e-2, alpha=150.0)
+
+
+def result_digest(function) -> str:
+    """sha256 over every node's key and coefficient bytes, in key order."""
+    h = hashlib.sha256()
+    for key in sorted(function.tree.keys()):
+        h.update(repr((key.level, key.translation)).encode())
+        coeffs = function.tree[key].coeffs
+        if coeffs is not None:
+            h.update(coeffs.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def coulomb_hybrid_run():
+    """A real Coulomb apply on one hybrid Titan node (k=3, 3,457 tasks)."""
     from repro.hardware.cpu_model import CpuModel
     from repro.hardware.gpu_model import GpuModel
     from repro.hardware.specs import TITAN_NODE
@@ -117,9 +133,7 @@ def test_coulomb_hybrid_node_run_is_pinned():
     from repro.runtime.dispatcher import HybridDispatcher
     from repro.runtime.node import NodeRuntime
 
-    density, operator, _exact = CoulombApplication.real_instance(
-        k=3, thresh=1e-2, eps=1e-2, alpha=150.0
-    )
+    density, operator, _exact = coulomb_instance()
     dispatcher = HybridDispatcher(
         CpuMtxmKernel(CpuModel(TITAN_NODE.cpu)),
         CustomGpuKernel(GpuModel(TITAN_NODE.gpu)),
@@ -130,8 +144,33 @@ def test_coulomb_hybrid_node_run_is_pinned():
     runtime = NodeRuntime(
         TITAN_NODE, dispatcher, flush_interval=0.005, max_batch_size=60
     )
-    tl = BatchedApply(operator, runtime).apply(density).timeline
+    return BatchedApply(operator, runtime).apply(density)
+
+
+def test_coulomb_hybrid_node_run_is_pinned(coulomb_hybrid_run):
+    """A real Coulomb apply on one hybrid Titan node reproduces its pinned
+    transfer ledger and makespan.  It is the one real-numerics run whose
+    GPU shares hold items with repeated block keys, so it pins that the
+    node aggregates each GPU share by a forward fold of its items."""
+    tl = coulomb_hybrid_run.timeline
     assert (tl.n_tasks, tl.n_gpu_items) == (3457, 108)
     assert tl.block_bytes_shipped == 38_073
     assert tl.bytes_to_gpu == 224_697
     assert tl.total_seconds.hex() == "0x1.918a931054fecp-7"
+
+
+def test_coulomb_hybrid_node_result_bytes_are_pinned(coulomb_hybrid_run):
+    """The batched apply's result coefficients are pinned byte for byte:
+    operator tables, payload stacks and the evaluator may get faster but
+    must not move a single bit of the numbers."""
+    assert result_digest(coulomb_hybrid_run.function) == (
+        "17b33f9c8b57e0a1045438c6a3edccb1ebc7640db5b92c121544ee887b57025b"
+    )
+
+
+def test_reference_apply_result_bytes_are_pinned():
+    """Same pin for the reference ``GaussianConvolution.apply``."""
+    density, operator, _exact = coulomb_instance()
+    assert result_digest(operator.apply(density)) == (
+        "5ab890df5f77f3327eadca2daf17cb88fade83d63d94b9d5c3717cf39135e85a"
+    )

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.apps.coulomb import probe_item
 from repro.errors import DataLossError, RecoveryConfigError
-from repro.kernels.base import FormulaPayload
 from repro.faults.injector import FaultInjector
 from repro.faults.models import CheckpointCorruption, NodeCrash
 from repro.lint.trace_check import verify_tracer
@@ -22,7 +21,7 @@ from repro.recovery import (
 )
 from repro.runtime.task import HybridTask
 from repro.runtime.trace import Tracer
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, payload_from_factors
 
 #: cost model cheap enough that every-other-batch checkpointing commits
 #: comfortably between the crashes these tests schedule
@@ -49,7 +48,7 @@ def payload_tasks(n: int = 60) -> list[HybridTask]:
     q, dim, rank = 12, 2, 3
     out = []
     for _ in range(n):
-        payload = FormulaPayload(
+        payload = payload_from_factors(
             s=rng.standard_normal((q,) * dim),
             factors=[
                 tuple(rng.standard_normal((q, q)) for _ in range(dim))
